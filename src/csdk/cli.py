@@ -183,7 +183,7 @@ def _add_common_options(parser) -> None:
     )
     parser.add_argument(
         "--rank-mode",
-        choices=("full", "deficient", "auto"),
+        choices=("full", "auto"),
         default="auto",
         dest="rank_mode",
     )

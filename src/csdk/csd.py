@@ -35,24 +35,25 @@ from .errors import (
     RankInconsistencyError,
 )
 from .kernel import (
-    DEFAULT_TOL_FACTOR,
     U_ROUNDOFF,
     hermitian_part,
-    norm_2,
     norm_fro,
     qr_factor,
+    singular_values,
     svd_factor,
 )
-from .isometry import dist_to_partial_isometry
+from .isometry import dist_from_singular_values
 from .polar import PolarFactors, polar_iterative, polar_modified, polar_svd
-from .symeig import symeig_direct, symeig_interval, symeig_sdc
+from .symeig import symeig_direct, symeig_sdc
 from .zolotarev import SignApproxParams
+
+# Not called here, but perfbench/layers.py looks these names up in this module.
+from .isometry import dist_to_partial_isometry  # noqa: F401
+from .symeig import symeig_interval  # noqa: F401
 
 # Inputs farther than this from any partial isometry are refused: the
 # backward-error guarantees are asymptotic in that distance.
 _DISTANCE_GATE = 0.1
-
-_RANK_DETECT_EPS_FACTOR = 1e-8
 
 _R_AGREEMENT_FACTOR = 1e3
 
@@ -74,8 +75,9 @@ class CsdOptions:
 
     polar_method picks the route for the two polar decompositions; epsilon
     is the ill-conditioning threshold on a block's smallest singular value;
-    rank_mode "auto" detects rank deficiency (Frobenius-norm count cross-
-    checked against the eps-rank), "full"/"deficient" assert it.
+    rank_mode "auto" takes the rank r = #{sigma_i(A) > 1/2} from the
+    distance gate's singular values and goes economical when r < n; "full"
+    asserts r = n and raises RankInconsistencyError otherwise.
     cs_extraction "diag_projection" reads C and S off the projected
     Hermitian factors; "from_lambda" solves sin(t) - cos(t) = lambda
     (cheaper, slightly less accurate).  b_matrix exists for diagnostics:
@@ -94,7 +96,7 @@ class CsdOptions:
             raise ValueError(f"unknown polar method {self.polar_method!r}")
         if not 0.0 < self.epsilon < 1e-8:
             raise ValueError(f"epsilon must lie in (0, 1e-8), got {self.epsilon}")
-        if self.rank_mode not in ("full", "deficient", "auto"):
+        if self.rank_mode not in ("full", "auto"):
             raise ValueError(f"unknown rank mode {self.rank_mode!r}")
         if self.cs_extraction not in ("diag_projection", "from_lambda"):
             raise ValueError(f"unknown extraction {self.cs_extraction!r}")
@@ -107,9 +109,10 @@ class CsdResult:
     """Factors A1 ~= U1 diag(c) V1*, A2 ~= U2 diag(s) V1*.
 
     c and s hold the diagonals (cosines and sines of theta after
-    post-processing); theta is ascending.  k = len(theta) equals n for the
-    full-rank branches and the rank r for the economical rank-deficient
-    output.  branch records the dispatch actually taken.
+    post-processing); theta is ascending, and the columns of u1, u2 and v1
+    follow its order.  k = len(theta) equals n for the full-rank branches
+    and the rank r for the economical rank-deficient output.  branch
+    records the dispatch actually taken.
     """
 
     u1: np.ndarray
@@ -257,58 +260,12 @@ def _symeig_for(opts: CsdOptions):
     return symeig_direct if opts.polar_method == "svd" else symeig_sdc
 
 
-def _detect_rank(a: np.ndarray, opts: CsdOptions) -> int:
-    """Rank of the near partial isometry A.
+def _gated(a: np.ndarray, m1: int, opts: CsdOptions) -> tuple[np.ndarray, int]:
+    """Validate A and its split at row m1; return A as complex128 and its rank.
 
-    ||A||_F**2 counts the unit singular values; the eps-rank of the
-    triangular QR factor counts them independently.  In auto mode both
-    must agree.
-    """
-    n = a.shape[1]
-    if opts.rank_mode == "full":
-        return n
-    sigmas = _block_sigmas(a)
-    eps = _RANK_DETECT_EPS_FACTOR * (float(sigmas[0]) if sigmas.size else 1.0)
-    rank_eps = int(np.count_nonzero(sigmas > eps))
-    rank_fro = nint(norm_fro(a) ** 2)
-    if opts.rank_mode == "deficient":
-        return rank_eps
-    if rank_fro != rank_eps:
-        raise RankInconsistencyError(
-            f"Frobenius rank estimate {rank_fro} disagrees with eps-rank {rank_eps}"
-        )
-    return rank_fro
-
-
-def _finish(
-    u1, u2, v1, lam, h1, h2, opts: CsdOptions, rank: int, mu: float, branch: str
-) -> CsdResult:
-    if opts.cs_extraction == "from_lambda":
-        c, s, theta = cs_from_lambda(lam)
-        if not opts.postprocess:
-            # The angle route already yields exact cos/sin pairs.
-            return CsdResult(u1, u2, c, s, v1, theta, rank, mu, branch)
-    else:
-        c, s = extract_cs(v1, h1, h2)
-    # The active-pair count doubles as the detector for rank deficiency
-    # smuggled past an asserted full-rank mode: null columns project to
-    # (0, 0) pairs and the count comes up short of the claimed rank.
-    check = rank if opts.cs_extraction == "diag_projection" else None
-    c_post, s_post, theta = postprocess_trig(c, s, check)
-    if opts.postprocess:
-        c, s = c_post, s_post
-    return CsdResult(u1, u2, c, s, v1, theta, rank, mu, branch)
-
-
-def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
-    """CS decomposition of A = [A1; A2], A1 of m1 rows, both blocks taller
-    than square.
-
-    Dispatch: full-rank input with both blocks' smallest singular value at
-    least epsilon runs the plain two-polar route; a block below epsilon is
-    rerouted through the fixed-interval polar plus QR fix; detected rank
-    deficiency switches to the economical decomposition (k = rank columns).
-    Inputs farther than 0.1 from every partial isometry are refused.
+    One values-only SVD decides both the distance gate and the rank: d(A) =
+    max_i min(sigma_i, |1 - sigma_i|), and inside the gate every sigma_i lies
+    within 0.1 of 0 or of 1, so r = #{sigma_i > 1/2} is unambiguous.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
@@ -323,15 +280,56 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
         )
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    d = dist_to_partial_isometry(a)
+    sigma = singular_values(a)
+    d = dist_from_singular_values(sigma)
     if d > _DISTANCE_GATE:
         raise NotNearIsometryError(
             f"distance to the nearest partial isometry is {d:.3g} > {_DISTANCE_GATE}; "
             "the factorization contract does not cover such inputs"
         )
-    rank = _detect_rank(a, opts)
+    rank = int(np.count_nonzero(sigma > 0.5))
+    if opts.rank_mode == "full" and rank < n:
+        raise RankInconsistencyError(
+            f"rank_mode='full' asserts rank {n}, but A has rank {rank}"
+        )
+    return a, rank
+
+
+def _finish(
+    u1, u2, v1, lam, h1, h2, opts: CsdOptions, rank: int, mu: float, branch: str
+) -> CsdResult:
+    if opts.cs_extraction == "from_lambda":
+        c, s, theta = cs_from_lambda(lam)
+        if opts.postprocess:
+            c, s, theta = postprocess_trig(c, s)
+    else:
+        c, s = extract_cs(v1, h1, h2)
+        c_post, s_post, theta = postprocess_trig(c, s)
+        if opts.postprocess:
+            c, s = c_post, s_post
+    # lam ascends, but theta read off the projected diagonals can swap
+    # neighbours at rounding level when angles cluster.
+    order = np.argsort(theta, kind="stable")
+    return CsdResult(
+        u1[:, order], u2[:, order], c[order], s[order], v1[:, order],
+        theta[order], rank, mu, branch,
+    )
+
+
+def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
+    """CS decomposition of A = [A1; A2], A1 of m1 rows, both blocks taller
+    than square.
+
+    Dispatch: full-rank input with both blocks' smallest singular value at
+    least epsilon runs the plain two-polar route; a block below epsilon is
+    rerouted through the fixed-interval polar plus QR fix; rank r < n
+    switches to the economical decomposition (k = r columns).  Inputs
+    farther than 0.1 from every partial isometry are refused.
+    """
+    a, rank = _gated(a, m1, opts)
+    n = a.shape[1]
     if rank < n:
-        return csd_rank_deficient(a, m1, opts, _rank=rank, _distance=d)
+        return _economical(a, m1, opts, rank)
 
     a1, a2 = a[:m1], a[m1:]
     sig1, sig2 = _block_sigmas(a1), _block_sigmas(a2)
@@ -350,38 +348,28 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
 
 
 def csd_rank_deficient(
-    a: np.ndarray,
-    m1: int,
-    opts: CsdOptions = CsdOptions(),
-    *,
-    _rank: int | None = None,
-    _distance: float | None = None,
+    a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()
 ) -> CsdResult:
     """Economical CS decomposition of a rank-deficient partial isometry.
 
     Both blocks go through the fixed-interval polar variant; the null
-    space is pushed to eigenvalue mu = 2 of B, the r eigenpairs in [-1, 1]
-    are extracted by an interval-restricted eigensolve splitting at 1.1,
-    and U_i = W_i V1r comes out orthonormal because the fixed-interval map
+    space is pushed to eigenvalue mu = 2 of B, above the eigenvalues of the
+    r active angles, so the r smallest eigenpairs of B give V1r, and
+    U_i = W_i V1r comes out orthonormal because the fixed-interval map
     sends every active singular value to 1 - O(u).  Output has k = r
     columns.  A block whose r-th singular value is itself below epsilon
-    additionally gets the QR fix.
+    additionally gets the QR fix.  Validation and the distance gate are
+    those of `csd`.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    m, n = a.shape
-    m2 = m - m1
-    if m1 < n or m2 < n:
-        raise DimensionError(
-            f"both blocks must have at least n={n} rows, got m1={m1}, m2={m2}"
-        )
-    rank = _detect_rank(a, opts) if _rank is None else _rank
-    d = dist_to_partial_isometry(a) if _distance is None else _distance
-    a1, a2 = a[:m1], a[m1:]
+    a, rank = _gated(a, m1, opts)
+    return _economical(a, m1, opts, rank)
 
+
+def _economical(a: np.ndarray, m1: int, opts: CsdOptions, rank: int) -> CsdResult:
     params = SignApproxParams(p=8, ell=opts.epsilon, iterations=2)
     factors = []
     any_fix = False
-    for block in (a1, a2):
+    for block in (a[:m1], a[m1:]):
         sigmas = _block_sigmas(block)
         if opts.polar_method == "svd" or float(sigmas[0]) == 0.0:
             factors.append(polar_svd(block))
@@ -395,16 +383,8 @@ def csd_rank_deficient(
             factors.append(polar_modified(block, opts.epsilon, params))
     pf1, pf2 = factors
 
-    b = build_B(pf1.h, pf2.h, a, 2.0)
-    select_tol = max(
-        DEFAULT_TOL_FACTOR * n * U_ROUNDOFF * norm_2(b),
-        10.0 * d,
-    )
-    v1r, lam = symeig_interval(b, -1.0, 1.0, tol=select_tol)
-    if lam.shape[0] != rank:
-        raise RankInconsistencyError(
-            f"{lam.shape[0]} eigenvalues found in [-1, 1] but the rank estimate is {rank}"
-        )
+    eig = _symeig_for(opts)(build_B(pf1.h, pf2.h, a, 2.0))
+    v1r, lam = eig.v[:, :rank], eig.lam[:rank]
     u1 = pf1.w @ v1r
     u2 = pf2.w @ v1r
     branch = (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .kernel import U_ROUNDOFF, norm_2, norm_fro, svd_factor
+from .kernel import U_ROUNDOFF, norm_2, norm_fro, singular_values, svd_factor
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,15 @@ def _norm(a: np.ndarray, kind: str) -> float:
     raise ValueError(f"unknown norm {kind!r}")
 
 
+def dist_from_singular_values(sigma: np.ndarray) -> float:
+    """max_i min(sigma_i, |1 - sigma_i|), the distance of a matrix with
+    singular values sigma to the set of partial isometries."""
+    return float(np.max(np.minimum(sigma, np.abs(1.0 - sigma)), initial=0.0))
+
+
 def dist_to_partial_isometry(a: np.ndarray) -> float:
     """Spectral-norm distance from A to the set of partial isometries."""
-    sigma = svd_factor(a).sigma
-    if sigma.size == 0:
-        return 0.0
-    return float(np.max(np.minimum(sigma, np.abs(1.0 - sigma))))
+    return dist_from_singular_values(singular_values(a))
 
 
 def eps_rank(a: np.ndarray, eps: float, norm: str = "spectral") -> int:

@@ -124,6 +124,15 @@ def svd_factor(a: np.ndarray) -> SvdFactors:
     return SvdFactors(p, sigma, qh.conj().T)
 
 
+def singular_values(a: np.ndarray) -> np.ndarray:
+    """Singular values of any-shape A, nonincreasing, without the vectors."""
+    a = np.asarray(a, dtype=np.complex128)
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+
+
 def solve_triangular(
     r: np.ndarray,
     b: np.ndarray,

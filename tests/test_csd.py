@@ -26,7 +26,14 @@ from csdk.isometry import assemble_blocks, stability_report
 from csdk.kernel import U_ROUNDOFF, norm_2, norm_fro
 from csdk.polar import polar_svd
 from csdk.symeig import symeig_direct
-from csdk.testgen import gen_clustered, gen_haar_stiefel, gen_rank_deficient_haar
+from csdk.testgen import (
+    TestCase,
+    gen_clustered,
+    gen_haar_stiefel,
+    gen_rank_deficient_clustered,
+    gen_rank_deficient_haar,
+    generate,
+)
 
 U = U_ROUNDOFF
 
@@ -96,8 +103,9 @@ class TestCsdDispatch:
 
     def test_full_mode_on_deficient_input_reports_inconsistency(self):
         a = gen_rank_deficient_haar(12, seed=3)
-        with pytest.raises(RankInconsistencyError):
-            csd(a, 12, CsdOptions(rank_mode="full"))
+        for extraction in ("diag_projection", "from_lambda"):
+            with pytest.raises(RankInconsistencyError):
+                csd(a, 12, CsdOptions(rank_mode="full", cs_extraction=extraction))
 
     def test_nonfinite_rejected(self):
         a = np.vstack([np.eye(2), np.eye(2)]).astype(complex) / np.sqrt(2)
@@ -125,16 +133,6 @@ class TestCsdDispatch:
         rep = stability_report(a, res)
         assert rep.residual_2norm <= 50 * n * U
 
-    def test_deficient_mode_asserted(self):
-        n = 12
-        a = gen_rank_deficient_haar(n, seed=4)
-        res = csd(a, n, CsdOptions(rank_mode="deficient"))
-        assert res.k == nint(3 * n / 4)
-        # Asserting deficiency on a full-rank input degrades gracefully.
-        b = gen_haar_stiefel(2 * n, n, seed=4)
-        res_full = csd(b, n, CsdOptions(rank_mode="deficient"))
-        assert res_full.k == n
-
     def test_options_validation(self):
         with pytest.raises(ValueError):
             CsdOptions(polar_method="cayley")
@@ -142,8 +140,9 @@ class TestCsdDispatch:
             CsdOptions(epsilon=0.0)
         with pytest.raises(ValueError):
             CsdOptions(epsilon=1e-7)
-        with pytest.raises(ValueError):
-            CsdOptions(rank_mode="guess")
+        for mode in ("guess", "deficient"):
+            with pytest.raises(ValueError):
+                CsdOptions(rank_mode=mode)
         with pytest.raises(ValueError):
             CsdOptions(cs_extraction="magic")
         with pytest.raises(ValueError):
@@ -308,6 +307,39 @@ class TestPolarViaQrFix:
 
 
 class TestRankDeficient:
+    @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
+    @pytest.mark.parametrize(
+        "gen,noise,scale",
+        [
+            (gen, noise, 1.0)
+            for gen in (gen_rank_deficient_haar, gen_rank_deficient_clustered)
+            for noise in (1e-8, 1e-6, 1e-4)
+        ]
+        + [(gen_rank_deficient_clustered, 0.0, scale) for scale in (1.03, 1.05)],
+        ids=lambda x: getattr(x, "__name__", None),
+    )
+    def test_rank_inside_the_gate(self, method, gen, noise, scale):
+        # Spectral-norm noise up to 1e-4 and uniform scales up to 1.05 stay
+        # well inside the distance gate, so the rank must be r = nint(3n/4).
+        n = 16
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+        a = scale * gen(n, seed=3) + noise * g / norm_2(g)
+        res = csd(a, n, CsdOptions(polar_method=method))
+        assert res.k == res.rank == nint(3 * n / 4)
+        rep = stability_report(a, res)
+        assert rep.residual_2norm <= max(50 * n * U, 10 * rep.d_of_a)
+
+    def test_validation_shared_with_csd(self):
+        rng = np.random.default_rng(0)
+        far = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        with pytest.raises(NotNearIsometryError):
+            csd_rank_deficient(far, 4)
+        a = gen_rank_deficient_haar(4, seed=1)
+        a[0, 0] = np.inf
+        with pytest.raises(ValueError):
+            csd_rank_deficient(a, 4)
+
     def test_tiny_example(self):
         a = np.zeros((4, 2), dtype=complex)
         a[0, 0] = 1.0
@@ -400,22 +432,39 @@ class TestCsd2x2:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
-    def test_reconstruction_and_orthogonality(self, method):
-        n = 12
-        a = gen_haar_stiefel(2 * n, n, seed=71)
+    @pytest.mark.parametrize(
+        "method,scale",
+        [
+            pytest.param(m, scale, id=m if scale == 1.0 else f"{m}-x{scale}")
+            for scale in (1.0, 0.97, 1.01, 1.05)
+            for m in ("svd", "qdwh", "zolo")
+        ],
+    )
+    def test_reconstruction_and_orthogonality(self, method, scale):
+        # Scaled inputs are full rank at distance |1 - scale| from the
+        # Stiefel manifold, inside the gate.  At n = 30, ||A||_F^2 misses n
+        # by more than 1/2 for every scale, so a Frobenius rank count fails.
+        n = 12 if scale == 1.0 else 30
+        a = scale * gen_haar_stiefel(2 * n, n, seed=71)
         res = csd(a, n, CsdOptions(polar_method=method))
+        assert res.branch == "full_rank" and res.k == n
         rep = stability_report(a, res)
         assert rep.residual_2norm <= max(50 * n * U, 10 * rep.d_of_a)
         assert rep.orth_u1 <= 50 * n
         assert rep.orth_u2 <= 50 * n
         assert rep.orth_v1 <= 50 * n
 
-    def test_angles_ascending(self):
-        for seed in (1, 2):
-            a = gen_clustered(14, seed)
-            res = csd(a, 14)
-            assert np.all(np.diff(res.theta) >= 0)
+    @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("class_id", [2, 4])
+    def test_angles_ascending(self, class_id, seed, noisy, method):
+        # Clustered angles: theta read off the projected diagonals must
+        # still come out sorted, with no rounding-level descents.
+        n = 30
+        a = generate(TestCase(class_id, noisy, n, seed))
+        res = csd(a, n, CsdOptions(polar_method=method))
+        assert np.all(np.diff(res.theta) >= 0)
 
     def test_swap_symmetry(self):
         n = 10
