@@ -1,23 +1,14 @@
 """CS decomposition of stacked orthonormal-column matrices and partial
 isometries, computed from two polar decompositions and one Hermitian
-eigendecomposition, with the supporting factorization stack (rational
-sign-function polar iterations, spectral divide-and-conquer eigensolver)
-and the seeded benchmark generators.
+eigendecomposition.
+
+The top level holds the user API.  The supporting factorization stack
+(rational sign-function polar iterations, spectral divide-and-conquer
+eigensolver) and the seeded benchmark generators are imported from their
+submodules: `csdk.polar`, `csdk.symeig`, `csdk.kernel`, `csdk.testgen`.
 """
 
-from .csd import (
-    CsdOptions,
-    CsdResult,
-    build_B,
-    cs_from_lambda,
-    csd,
-    csd_2x2,
-    csd_rank_deficient,
-    extract_cs,
-    nint,
-    polar_via_qr_fix,
-    postprocess_trig,
-)
+from .csd import CsdOptions, CsdResult, csd, csd_2x2
 from .errors import (
     ConvergenceError,
     CsdkError,
@@ -29,48 +20,7 @@ from .errors import (
     RankInconsistencyError,
     SingularTriangularError,
 )
-from .isometry import (
-    StabilityReport,
-    dist_to_partial_isometry,
-    eps_rank,
-    lemma22_check,
-    lemma23_bound,
-    stability_report,
-)
-from .kernel import (
-    QrFactors,
-    SvdFactors,
-    U_ROUNDOFF,
-    as_matrix,
-    cholesky_factor,
-    qr_factor,
-    solve_triangular,
-    svd_factor,
-)
-from .polar import (
-    PolarFactors,
-    canonical_polar,
-    polar_iterative,
-    polar_modified,
-    polar_svd,
-)
-from .symeig import (
-    SymEigResult,
-    spectral_split,
-    symeig_direct,
-    symeig_interval,
-    symeig_sdc,
-)
-from .testgen import (
-    TestCase,
-    add_noise,
-    gen_clustered,
-    gen_haar_stiefel,
-    gen_rank_deficient_clustered,
-    gen_rank_deficient_haar,
-    generate,
-)
-from .zolotarev import SignApproxParams, eval_sign_approx
+from .isometry import StabilityReport, dist_to_partial_isometry, stability_report
 
 __version__ = "0.1.0"
 
@@ -83,49 +33,12 @@ __all__ = [
     "IndefiniteMatrixError",
     "MatrixFormatError",
     "NotNearIsometryError",
-    "PolarFactors",
     "PreconditionError",
-    "QrFactors",
     "RankInconsistencyError",
-    "SignApproxParams",
     "SingularTriangularError",
     "StabilityReport",
-    "SvdFactors",
-    "SymEigResult",
-    "TestCase",
-    "U_ROUNDOFF",
-    "add_noise",
-    "as_matrix",
-    "build_B",
-    "canonical_polar",
-    "cholesky_factor",
-    "cs_from_lambda",
     "csd",
     "csd_2x2",
-    "csd_rank_deficient",
     "dist_to_partial_isometry",
-    "eps_rank",
-    "eval_sign_approx",
-    "extract_cs",
-    "gen_clustered",
-    "gen_haar_stiefel",
-    "gen_rank_deficient_clustered",
-    "gen_rank_deficient_haar",
-    "generate",
-    "lemma22_check",
-    "lemma23_bound",
-    "nint",
-    "polar_iterative",
-    "polar_modified",
-    "polar_svd",
-    "polar_via_qr_fix",
-    "postprocess_trig",
-    "qr_factor",
-    "solve_triangular",
-    "spectral_split",
     "stability_report",
-    "svd_factor",
-    "symeig_direct",
-    "symeig_interval",
-    "symeig_sdc",
 ]

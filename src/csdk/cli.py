@@ -3,9 +3,7 @@
 Three subcommands: `compute` factorizes a matrix read from a file and
 writes the factors next to a report; `bench` runs the seeded generator
 classes at benchmark sizes and prints one metrics row per (class, n,
-seed); `selftest` runs the acceptance suite.  The CSDK_THREADS environment
-variable caps how many bench rows run concurrently (default 1; output
-order is fixed regardless).
+seed); `selftest` runs the acceptance suite.
 
 Exit codes for compute: 0 success, 1 internal error, 2 input rejected as
 too far from a partial isometry, 3 file or parse error.
@@ -15,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,14 +33,6 @@ _REPORT_FIELDS = (
     ("orth_v1", "orthV1/u"),
     ("cs_identity_err", "cs_ident"),
 )
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("CSDK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _options_from_args(args) -> CsdOptions:
@@ -153,18 +141,12 @@ def _cmd_bench(args) -> int:
     sizes = _parse_int_list(args.sizes) if args.sizes else bench_sizes(5)
     seeds = _parse_int_list(args.seeds)
     opts = _options_from_args(args)
-    work = [
-        (cid, args.noisy, n, seed)
+    rows = [
+        _bench_one(cid, args.noisy, n, seed, opts)
         for cid in sorted(classes)
         for n in sizes
         for seed in seeds
     ]
-    cap = _thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            rows = list(pool.map(lambda w: _bench_one(*w, opts), work))
-    else:
-        rows = [_bench_one(*w, opts) for w in work]
     _emit_rows(rows, args.format, sys.stdout)
     return 0
 

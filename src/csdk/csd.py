@@ -1,29 +1,28 @@
 """CS decomposition of a stacked matrix with orthonormal columns, or of a
-rank-deficient partial isometry.
+rank-deficient partial isometry, along one path for both.
 
-Given A = [A1; A2] with m1, m2 >= n columns-orthonormal (or a partial
-isometry), the factorization A1 = U1 C V1*, A2 = U2 S V1* with shared V1
-and diagonal C, S is computed from the polar decompositions A_i = W_i H_i
-followed by one Hermitian eigendecomposition.  The eigenvector basis must
-come from H2 - H1: the eigenvalues sin(theta) - cos(theta) of that
-difference are spaced at least as far apart as those of either H alone, so
-its computed eigenvectors nearly diagonalize both H1 and H2 even when the
-principal angles cluster near 0 or pi/2, where diagonalizing H1 or H2
-directly is hopeless.  For rank-deficient input the difference is shifted
-by mu (I - A*A) with mu = 2, which moves the null space's eigenvalue to 2,
+Given A = [A1; A2] with m1, m2 >= n and rank r, the factorization
+A1 = U1 C V1*, A2 = U2 S V1* with shared V1 and diagonal C, S is computed
+from the polar decompositions A_i = W_i H_i followed by one Hermitian
+eigendecomposition of B = H2 - H1 + mu (I - A*A), of which the r smallest
+eigenpairs are kept.  The eigenvector basis must come from H2 - H1: the
+eigenvalues sin(theta) - cos(theta) of that difference are spaced at least
+as far apart as those of either H alone, so its computed eigenvectors
+nearly diagonalize both H1 and H2 even when the principal angles cluster
+near 0 or pi/2, where diagonalizing H1 or H2 directly is hopeless.  mu = 0
+at full rank; below it mu = 2 moves the null space's eigenvalue to 2,
 cleanly separated from the [-1, 1] band of the active angles.
 
-Ill-conditioned blocks (smallest singular value below epsilon) go through
-the fixed-interval polar variant; orthonormality of the resulting W is then
-restored from the identity W = Q Q_H*, where Q and Q_H are the Q-factors
-of A_i and of its Hermitian polar factor, which share one R-factor under
-the nonnegative-diagonal QR convention.
+Ill-conditioned blocks go through the fixed-interval polar variant;
+orthonormality of the resulting W is then restored from the identity
+W = Q Q_H*, where Q and Q_H are the Q-factors of A_i and of its Hermitian
+polar factor, which share one R-factor under the nonnegative-diagonal QR
+convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,15 +39,14 @@ from .kernel import (
     norm_fro,
     qr_factor,
     singular_values,
-    svd_factor,
 )
 from .isometry import dist_from_singular_values
 from .polar import PolarFactors, polar_iterative, polar_modified, polar_svd
 from .symeig import symeig_direct, symeig_sdc
-from .zolotarev import SignApproxParams
 
 # Not called here, but perfbench/layers.py looks these names up in this module.
 from .isometry import dist_to_partial_isometry  # noqa: F401
+from .kernel import svd_factor  # noqa: F401
 from .symeig import symeig_interval  # noqa: F401
 
 # Inputs farther than this from any partial isometry are refused: the
@@ -185,15 +183,9 @@ def cs_from_lambda(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.cos(theta), np.sin(theta), theta
 
 
-def _block_sigmas(block: np.ndarray) -> np.ndarray:
-    """Singular values of a block via its (small) triangular QR factor."""
-    return svd_factor(qr_factor(block).r).sigma
-
-
 def polar_via_qr_fix(
     ai: np.ndarray,
     epsilon: float = 1e-15,
-    params: Optional[SignApproxParams] = None,
     *,
     sigmas: np.ndarray | None = None,
 ) -> tuple[PolarFactors, float]:
@@ -211,7 +203,7 @@ def polar_via_qr_fix(
     """
     ai = np.asarray(ai, dtype=np.complex128)
     if sigmas is None:
-        sigmas = _block_sigmas(ai)
+        sigmas = singular_values(ai)
     smax = float(sigmas[0]) if sigmas.size else 0.0
     smin = float(sigmas[-1]) if sigmas.size else 0.0
     gate = max(epsilon, _RANK_DEFICIENT_FIX_THRESHOLD)
@@ -219,7 +211,7 @@ def polar_via_qr_fix(
         raise PreconditionError(
             "block is not ill conditioned; use the standard polar route"
         )
-    modified = polar_modified(ai, epsilon, params)
+    modified = polar_modified(ai, epsilon)
     qa = qr_factor(ai)
     qh = qr_factor(modified.h)
     denom = max(norm_fro(qa.r), np.finfo(float).tiny)
@@ -235,19 +227,30 @@ def polar_via_qr_fix(
 
 
 def _polar_for_block(
-    block: np.ndarray, opts: CsdOptions, sigmas: np.ndarray
+    block: np.ndarray, opts: CsdOptions, rank: int
 ) -> tuple[PolarFactors, bool]:
-    """Polar factors of one block plus whether the QR-fix route was taken."""
+    """Polar factors of one block of A, plus whether the QR-fix route was
+    taken.  The svd route reads no singular values; the others read the
+    block's, one values-only SVD, against the thresholds `csd` documents.
+    """
     if opts.polar_method == "svd":
         return polar_svd(block), False
+    sigmas = singular_values(block)
     smax = float(sigmas[0])
     if smax == 0.0:
         # A zero block: any orthonormal W with H = 0 is fine.
         return polar_svd(block), False
-    ill = sigmas[-1] / smax < opts.epsilon
+    full_rank = rank == block.shape[1]
+    if full_rank:
+        ill = sigmas[-1] / smax < opts.epsilon
+    else:
+        active_min = float(sigmas[rank - 1]) if rank >= 1 else 0.0
+        ill = active_min < max(opts.epsilon, _RANK_DEFICIENT_FIX_THRESHOLD)
     if ill:
         fixed, _ = polar_via_qr_fix(block, opts.epsilon, sigmas=sigmas)
         return fixed, True
+    if not full_rank:
+        return polar_modified(block, opts.epsilon), False
     try:
         return polar_iterative(block, method=opts.polar_method), False
     except ConvergenceError:
@@ -320,79 +323,41 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     """CS decomposition of A = [A1; A2], A1 of m1 rows, both blocks taller
     than square.
 
-    Dispatch: full-rank input with both blocks' smallest singular value at
-    least epsilon runs the plain two-polar route; a block below epsilon is
-    rerouted through the fixed-interval polar plus QR fix; rank r < n
-    switches to the economical decomposition (k = r columns).  Inputs
-    farther than 0.1 from every partial isometry are refused.
+    Inputs farther than 0.1 from every partial isometry are refused; the
+    same singular values of A give its rank r = #{sigma_i > 1/2}.  Each
+    block's polar route is then chosen on its own.
+
+    Full rank (r = n, mu = 0): a block whose sigma_n / sigma_1 is at least
+    epsilon runs the plain iterative polar; one below epsilon is rerouted
+    through the fixed-interval polar plus QR fix.
+
+    Rank deficient (r < n, mu = 2): both blocks go through the
+    fixed-interval polar variant.  The null space is pushed to eigenvalue
+    mu = 2 of B, above the eigenvalues of the r active angles, so the r
+    smallest eigenpairs of B give V1, and U_i = W_i V1 comes out
+    orthonormal because the fixed-interval map sends every active singular
+    value to 1 - O(u).  The output is economical, k = r columns.  A block
+    whose r-th singular value is below max(epsilon, 1e-7) additionally
+    gets the QR fix.
     """
     a, rank = _gated(a, m1, opts)
     n = a.shape[1]
-    if rank < n:
-        return _economical(a, m1, opts, rank)
-
-    a1, a2 = a[:m1], a[m1:]
-    sig1, sig2 = _block_sigmas(a1), _block_sigmas(a2)
-    pf1, fix1 = _polar_for_block(a1, opts, sig1)
-    pf2, fix2 = _polar_for_block(a2, opts, sig2)
-    if opts.b_matrix == "h1":
+    mu = 0.0 if rank == n else 2.0
+    pf1, fix1 = _polar_for_block(a[:m1], opts, rank)
+    pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
+    if opts.b_matrix == "h1" and mu == 0.0:
         b = hermitian_part(pf1.h)
     else:
-        b = build_B(pf1.h, pf2.h, a, 0.0)
+        b = build_B(pf1.h, pf2.h, a, mu)
     eig = _symeig_for(opts)(b)
-    v1 = eig.v
-    u1 = pf1.w @ v1
-    u2 = pf2.w @ v1
-    branch = "ill_conditioned" if (fix1 or fix2) else "full_rank"
-    return _finish(u1, u2, v1, eig.lam, pf1.h, pf2.h, opts, n, 0.0, branch)
-
-
-def csd_rank_deficient(
-    a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()
-) -> CsdResult:
-    """Economical CS decomposition of a rank-deficient partial isometry.
-
-    Both blocks go through the fixed-interval polar variant; the null
-    space is pushed to eigenvalue mu = 2 of B, above the eigenvalues of the
-    r active angles, so the r smallest eigenpairs of B give V1r, and
-    U_i = W_i V1r comes out orthonormal because the fixed-interval map
-    sends every active singular value to 1 - O(u).  Output has k = r
-    columns.  A block whose r-th singular value is itself below epsilon
-    additionally gets the QR fix.  Validation and the distance gate are
-    those of `csd`.
-    """
-    a, rank = _gated(a, m1, opts)
-    return _economical(a, m1, opts, rank)
-
-
-def _economical(a: np.ndarray, m1: int, opts: CsdOptions, rank: int) -> CsdResult:
-    params = SignApproxParams(p=8, ell=opts.epsilon, iterations=2)
-    factors = []
-    any_fix = False
-    for block in (a[:m1], a[m1:]):
-        sigmas = _block_sigmas(block)
-        if opts.polar_method == "svd" or float(sigmas[0]) == 0.0:
-            factors.append(polar_svd(block))
-            continue
-        active_min = float(sigmas[rank - 1]) if rank >= 1 else 0.0
-        if active_min < max(opts.epsilon, _RANK_DEFICIENT_FIX_THRESHOLD):
-            fixed, _ = polar_via_qr_fix(block, opts.epsilon, params, sigmas=sigmas)
-            factors.append(fixed)
-            any_fix = True
-        else:
-            factors.append(polar_modified(block, opts.epsilon, params))
-    pf1, pf2 = factors
-
-    eig = _symeig_for(opts)(build_B(pf1.h, pf2.h, a, 2.0))
-    v1r, lam = eig.v[:, :rank], eig.lam[:rank]
-    u1 = pf1.w @ v1r
-    u2 = pf2.w @ v1r
-    branch = (
-        "rank_deficient_ill_conditioned"
-        if (any_fix and opts.polar_method != "svd")
-        else "rank_deficient"
-    )
-    return _finish(u1, u2, v1r, lam, pf1.h, pf2.h, opts, rank, 2.0, branch)
+    v1, lam = eig.v[:, :rank], eig.lam[:rank]
+    fixed = fix1 or fix2
+    if mu == 0.0:
+        branch = "ill_conditioned" if fixed else "full_rank"
+    else:
+        branch = "rank_deficient_ill_conditioned" if fixed else "rank_deficient"
+    u1, u2 = pf1.w @ v1, pf2.w @ v1
+    return _finish(u1, u2, v1, lam, pf1.h, pf2.h, opts, rank, mu, branch)
 
 
 def csd_2x2(

@@ -30,8 +30,9 @@ class NotNearIsometryError(CsdkError):
 
 
 class RankInconsistencyError(CsdkError):
-    """Two independent rank estimates disagree, or the eigenvalue count does
-    not match the estimated rank."""
+    """The rank found does not match the rank asserted: rank_mode="full" on
+    input of rank r < n, or an active-pair count in postprocess_trig that
+    differs from its rank argument."""
 
 
 class MatrixFormatError(CsdkError):

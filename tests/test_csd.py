@@ -1,5 +1,13 @@
 """End-to-end decomposition contracts: dispatch, the three branches,
-post-processing, and the structural invariants."""
+post-processing, the structural invariants, and the factorizations each
+route runs."""
+
+import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +18,6 @@ from csdk.csd import (
     cs_from_lambda,
     csd,
     csd_2x2,
-    csd_rank_deficient,
     extract_cs,
     nint,
     polar_via_qr_fix,
@@ -87,6 +94,8 @@ class TestCsdDispatch:
         assert res.k == nint(3 * n / 4) == res.rank
         assert res.mu == 2.0
         assert np.max(np.abs(res.c**2 + res.s**2 - 1.0)) <= 1e-14
+        # The svd route never takes the QR fix.
+        assert csd(a, n, CsdOptions(polar_method="svd")).branch == "rank_deficient"
 
     def test_shape_validation(self):
         a = gen_haar_stiefel(8, 3, seed=1)
@@ -97,9 +106,12 @@ class TestCsdDispatch:
 
     def test_distance_gate(self):
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-        with pytest.raises(NotNearIsometryError):
-            csd(a, 4)
+        far = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        # Rank 3 with active singular values 1.5: distance 0.5.
+        far_deficient = 1.5 * gen_rank_deficient_haar(4, seed=1)
+        for a in (far, far_deficient):
+            with pytest.raises(NotNearIsometryError):
+                csd(a, 4)
 
     def test_full_mode_on_deficient_input_reports_inconsistency(self):
         a = gen_rank_deficient_haar(12, seed=3)
@@ -110,8 +122,11 @@ class TestCsdDispatch:
     def test_nonfinite_rejected(self):
         a = np.vstack([np.eye(2), np.eye(2)]).astype(complex) / np.sqrt(2)
         a[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            csd(a, 2)
+        deficient = gen_rank_deficient_haar(4, seed=1)
+        deficient[0, 0] = np.inf
+        for bad, m1 in ((a, 2), (deficient, 4)):
+            with pytest.raises(ValueError):
+                csd(bad, m1)
 
     @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
     def test_unequal_partitions(self, method):
@@ -330,20 +345,10 @@ class TestRankDeficient:
         rep = stability_report(a, res)
         assert rep.residual_2norm <= max(50 * n * U, 10 * rep.d_of_a)
 
-    def test_validation_shared_with_csd(self):
-        rng = np.random.default_rng(0)
-        far = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-        with pytest.raises(NotNearIsometryError):
-            csd_rank_deficient(far, 4)
-        a = gen_rank_deficient_haar(4, seed=1)
-        a[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            csd_rank_deficient(a, 4)
-
     def test_tiny_example(self):
         a = np.zeros((4, 2), dtype=complex)
         a[0, 0] = 1.0
-        res = csd_rank_deficient(a, 2)
+        res = csd(a, 2)
         assert res.k == 1
         np.testing.assert_allclose(res.c, [1.0])
         np.testing.assert_allclose(res.s, [0.0])
@@ -519,3 +524,79 @@ class TestInvariants:
             rep_on = stability_report(a, on)
             rep_off = stability_report(a, off)
             assert rep_on.residual_2norm <= rep_off.residual_2norm + 50 * n * U
+
+
+def _count_factorizations(monkeypatch) -> dict:
+    """Count the SVDs and QRs run from csdk.csd and csdk.polar."""
+    counts = {"singular_values": 0, "svd_factor": 0, "qr_factor": 0}
+
+    def counted(fn, attr):
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # The package attribute csdk.csd is the function; import the module.
+    for name in ("csdk.csd", "csdk.polar"):
+        module = importlib.import_module(name)
+        for attr in counts:
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, counted(getattr(module, attr), attr))
+    return counts
+
+
+class TestFactorizations:
+    @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+    def test_svd_route_runs_gate_and_block_svds_only(self, monkeypatch, deficient):
+        # The gate's values-only SVD of A, then one SVD per block inside
+        # polar_svd; no block singular values or QRs besides.
+        n = 12
+        if deficient:
+            a = gen_rank_deficient_haar(n, seed=2)
+        else:
+            a = gen_haar_stiefel(2 * n, n, seed=2)
+        counts = _count_factorizations(monkeypatch)
+        csd(a, n, CsdOptions(polar_method="svd"))
+        assert counts == {"singular_values": 1, "svd_factor": 2, "qr_factor": 0}
+
+    def test_qdwh_route_takes_values_only_block_svds(self, monkeypatch):
+        n = 12
+        a = generate(TestCase(1, False, n, 1))
+        counts = _count_factorizations(monkeypatch)
+        csd(a, n, CsdOptions(polar_method="qdwh"))
+        assert counts["singular_values"] == 3
+        assert counts["svd_factor"] == 0
+
+    def test_perfbench_tracer_installs(self):
+        # `perfbench/run.py --trace 1` wraps names in csdk.csd, csdk.polar,
+        # csdk.symeig and csdk.isometry; it cannot install if one is gone.
+        root = Path(__file__).resolve().parents[1]
+        script = textwrap.dedent(
+            """
+            import csdk.csd
+            import layers
+            from csdk.csd import CsdOptions, csd
+            from csdk.testgen import gen_haar_stiefel, gen_rank_deficient_haar
+
+            tracer = layers.Tracer()
+            layers.install(tracer)
+            n = 8
+            full = gen_haar_stiefel(2 * n, n, seed=1)
+            deficient = gen_rank_deficient_haar(n, seed=1)
+            for a in (full, deficient):
+                for method in ("svd", "qdwh", "zolo"):
+                    csd(a, n, CsdOptions(polar_method=method))
+            assert tracer.counts["polar.block_calls"] >= 12, dict(tracer.counts)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root / "perfbench",
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
