@@ -17,7 +17,6 @@ from .errors import (
     MatrixFormatError,
     NotNearIsometryError,
     PreconditionError,
-    RankInconsistencyError,
     SingularTriangularError,
 )
 from .isometry import StabilityReport, dist_to_partial_isometry, stability_report
@@ -34,7 +33,6 @@ __all__ = [
     "MatrixFormatError",
     "NotNearIsometryError",
     "PreconditionError",
-    "RankInconsistencyError",
     "SingularTriangularError",
     "StabilityReport",
     "csd",

@@ -39,9 +39,6 @@ def _options_from_args(args) -> CsdOptions:
     return CsdOptions(
         polar_method=args.method,
         epsilon=args.epsilon,
-        rank_mode=args.rank_mode,
-        postprocess=not args.no_postprocess,
-        cs_extraction="from_lambda" if args.cs_extraction == "lambda" else "diag_projection",
     )
 
 
@@ -93,7 +90,11 @@ def _cmd_compute(args) -> int:
     except (CsdkError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_factors(args.out, result)
+    try:
+        _write_factors(args.out, result)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     rep = stability_report(a, result)
     head = {"input": args.input, "branch": result.branch, "k": result.k}
     _emit_rows([_report_row(rep, head)], args.format, sys.stdout)
@@ -134,12 +135,23 @@ def _bench_one(cid: int, noisy: bool, n: int, seed: int, opts: CsdOptions) -> di
 
 
 def _cmd_bench(args) -> int:
-    classes = _parse_int_list(args.classes)
+    try:
+        classes = _parse_int_list(args.classes)
+        sizes = _parse_int_list(args.sizes) if args.sizes else bench_sizes(5)
+        seeds = _parse_int_list(args.seeds)
+    except ValueError as exc:
+        print(
+            f"error: --classes, --sizes and --seeds take integers and ranges "
+            f"lo..hi ({exc})",
+            file=sys.stderr,
+        )
+        return 1
     if not set(classes) <= {1, 2, 3, 4}:
         print("error: classes must be within 1..4", file=sys.stderr)
         return 1
-    sizes = _parse_int_list(args.sizes) if args.sizes else bench_sizes(5)
-    seeds = _parse_int_list(args.seeds)
+    if any(n < 2 for n in sizes):
+        print("error: sizes must be at least 2", file=sys.stderr)
+        return 1
     opts = _options_from_args(args)
     rows = [
         _bench_one(cid, args.noisy, n, seed, opts)
@@ -163,20 +175,7 @@ def _add_common_options(parser) -> None:
         default="qdwh",
         help="route for the two polar decompositions",
     )
-    parser.add_argument(
-        "--rank-mode",
-        choices=("full", "auto"),
-        default="auto",
-        dest="rank_mode",
-    )
     parser.add_argument("--epsilon", type=float, default=1e-15)
-    parser.add_argument(
-        "--cs-extraction",
-        choices=("diag", "lambda"),
-        default="diag",
-        dest="cs_extraction",
-    )
-    parser.add_argument("--no-postprocess", action="store_true")
     parser.add_argument(
         "--format", choices=("table", "csv", "jsonl"), default="table"
     )

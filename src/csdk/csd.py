@@ -31,7 +31,6 @@ from .errors import (
     DimensionError,
     NotNearIsometryError,
     PreconditionError,
-    RankInconsistencyError,
 )
 from .kernel import (
     U_ROUNDOFF,
@@ -44,7 +43,8 @@ from .isometry import dist_from_singular_values
 from .polar import PolarFactors, polar_iterative, polar_modified, polar_svd
 from .symeig import symeig_direct, symeig_sdc
 
-# Not called here, but perfbench/layers.py looks these names up in this module.
+# Not called here, but perfbench/layers.py looks these names up in this
+# module; it also wraps cs_from_lambda, defined below.
 from .isometry import dist_to_partial_isometry  # noqa: F401
 from .kernel import svd_factor  # noqa: F401
 from .symeig import symeig_interval  # noqa: F401
@@ -71,35 +71,21 @@ def nint(x: float) -> int:
 class CsdOptions:
     """Knobs for the decomposition.
 
-    polar_method picks the route for the two polar decompositions; epsilon
-    is the ill-conditioning threshold on a block's smallest singular value;
-    rank_mode "auto" takes the rank r = #{sigma_i(A) > 1/2} from the
-    distance gate's singular values and goes economical when r < n; "full"
-    asserts r = n and raises RankInconsistencyError otherwise.
-    cs_extraction "diag_projection" reads C and S off the projected
-    Hermitian factors; "from_lambda" solves sin(t) - cos(t) = lambda
-    (cheaper, slightly less accurate).  b_matrix exists for diagnostics:
-    "h1" rebuilds the known-unstable variant that eigendecomposes H1 alone.
+    polar_method picks the route for the two polar decompositions (and
+    with it the eigensolver: direct for "svd", spectral divide-and-conquer
+    otherwise); epsilon is the ill-conditioning threshold on a block's
+    smallest singular value.  The rank, and with it the branch, is read
+    off A itself; see `csd`.
     """
 
     polar_method: str = "qdwh"
     epsilon: float = 1e-15
-    rank_mode: str = "auto"
-    postprocess: bool = True
-    cs_extraction: str = "diag_projection"
-    b_matrix: str = "difference"
 
     def __post_init__(self):
         if self.polar_method not in ("svd", "qdwh", "zolo"):
             raise ValueError(f"unknown polar method {self.polar_method!r}")
         if not 0.0 < self.epsilon < 1e-8:
             raise ValueError(f"epsilon must lie in (0, 1e-8), got {self.epsilon}")
-        if self.rank_mode not in ("full", "auto"):
-            raise ValueError(f"unknown rank mode {self.rank_mode!r}")
-        if self.cs_extraction not in ("diag_projection", "from_lambda"):
-            raise ValueError(f"unknown extraction {self.cs_extraction!r}")
-        if self.b_matrix not in ("difference", "h1"):
-            raise ValueError(f"unknown b_matrix {self.b_matrix!r}")
 
 
 @dataclass(frozen=True)
@@ -154,14 +140,13 @@ def extract_cs(
 
 
 def postprocess_trig(
-    c: np.ndarray, s: np.ndarray, rank: int | None = None
+    c: np.ndarray, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Snap diagonal pairs onto the unit circle through their angle.
 
     theta_i = atan2(s_i, c_i); active entries are replaced by cos(theta),
     sin(theta), shrinking c^2 + s^2 - 1 to a couple of ulp.  Pairs that are
-    numerically (0, 0) are rank-deficiency padding and stay zero; rank, if
-    given, is validated against the active count.
+    numerically (0, 0) are rank-deficiency padding and stay zero.
     """
     c = np.asarray(c, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -169,10 +154,6 @@ def postprocess_trig(
     theta = np.where(active, np.arctan2(s, c), 0.0)
     c_out = np.where(active, np.cos(theta), 0.0)
     s_out = np.where(active, np.sin(theta), 0.0)
-    if rank is not None and int(np.count_nonzero(active)) != rank:
-        raise RankInconsistencyError(
-            f"{int(np.count_nonzero(active))} active diagonal pairs, expected {rank}"
-        )
     return c_out, s_out, theta
 
 
@@ -263,7 +244,7 @@ def _symeig_for(opts: CsdOptions):
     return symeig_direct if opts.polar_method == "svd" else symeig_sdc
 
 
-def _gated(a: np.ndarray, m1: int, opts: CsdOptions) -> tuple[np.ndarray, int]:
+def _gated(a: np.ndarray, m1: int) -> tuple[np.ndarray, int]:
     """Validate A and its split at row m1; return A as complex128 and its rank.
 
     One values-only SVD decides both the distance gate and the rank: d(A) =
@@ -290,28 +271,13 @@ def _gated(a: np.ndarray, m1: int, opts: CsdOptions) -> tuple[np.ndarray, int]:
             f"distance to the nearest partial isometry is {d:.3g} > {_DISTANCE_GATE}; "
             "the factorization contract does not cover such inputs"
         )
-    rank = int(np.count_nonzero(sigma > 0.5))
-    if opts.rank_mode == "full" and rank < n:
-        raise RankInconsistencyError(
-            f"rank_mode='full' asserts rank {n}, but A has rank {rank}"
-        )
-    return a, rank
+    return a, int(np.count_nonzero(sigma > 0.5))
 
 
-def _finish(
-    u1, u2, v1, lam, h1, h2, opts: CsdOptions, rank: int, mu: float, branch: str
-) -> CsdResult:
-    if opts.cs_extraction == "from_lambda":
-        c, s, theta = cs_from_lambda(lam)
-        if opts.postprocess:
-            c, s, theta = postprocess_trig(c, s)
-    else:
-        c, s = extract_cs(v1, h1, h2)
-        c_post, s_post, theta = postprocess_trig(c, s)
-        if opts.postprocess:
-            c, s = c_post, s_post
-    # lam ascends, but theta read off the projected diagonals can swap
-    # neighbours at rounding level when angles cluster.
+def _finish(u1, u2, v1, h1, h2, rank: int, mu: float, branch: str) -> CsdResult:
+    c, s, theta = postprocess_trig(*extract_cs(v1, h1, h2))
+    # The eigenvalues of B ascend, but theta read off the projected
+    # diagonals can swap neighbours at rounding level when angles cluster.
     order = np.argsort(theta, kind="stable")
     return CsdResult(
         u1[:, order], u2[:, order], c[order], s[order], v1[:, order],
@@ -340,24 +306,19 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     whose r-th singular value is below max(epsilon, 1e-7) additionally
     gets the QR fix.
     """
-    a, rank = _gated(a, m1, opts)
+    a, rank = _gated(a, m1)
     n = a.shape[1]
     mu = 0.0 if rank == n else 2.0
     pf1, fix1 = _polar_for_block(a[:m1], opts, rank)
     pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
-    if opts.b_matrix == "h1" and mu == 0.0:
-        b = hermitian_part(pf1.h)
-    else:
-        b = build_B(pf1.h, pf2.h, a, mu)
-    eig = _symeig_for(opts)(b)
-    v1, lam = eig.v[:, :rank], eig.lam[:rank]
+    v1 = _symeig_for(opts)(build_B(pf1.h, pf2.h, a, mu)).v[:, :rank]
     fixed = fix1 or fix2
     if mu == 0.0:
         branch = "ill_conditioned" if fixed else "full_rank"
     else:
         branch = "rank_deficient_ill_conditioned" if fixed else "rank_deficient"
     u1, u2 = pf1.w @ v1, pf2.w @ v1
-    return _finish(u1, u2, v1, lam, pf1.h, pf2.h, opts, rank, mu, branch)
+    return _finish(u1, u2, v1, pf1.h, pf2.h, rank, mu, branch)
 
 
 def csd_2x2(

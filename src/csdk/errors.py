@@ -29,11 +29,5 @@ class NotNearIsometryError(CsdkError):
     """Input is too far from any partial isometry to decompose meaningfully."""
 
 
-class RankInconsistencyError(CsdkError):
-    """The rank found does not match the rank asserted: rank_mode="full" on
-    input of rank r < n, or an active-pair count in postprocess_trig that
-    differs from its rank argument."""
-
-
 class MatrixFormatError(CsdkError):
     """A matrix file could not be parsed."""

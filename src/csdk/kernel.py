@@ -134,23 +134,12 @@ def singular_values(a: np.ndarray) -> np.ndarray:
 
 
 def solve_triangular(
-    r: np.ndarray,
-    b: np.ndarray,
-    *,
-    lower: bool = False,
-    conj_transpose: bool = False,
-    right: bool = False,
+    r: np.ndarray, b: np.ndarray, *, conj_transpose: bool = False
 ) -> np.ndarray:
-    """Solve R X = B (or R* X = B; or X R = B with right=True) for
-    triangular R with nonzero diagonal."""
+    """Solve R X = B (or R* X = B) for upper triangular R with nonzero
+    diagonal."""
     r = np.asarray(r, dtype=np.complex128)
     if np.any(np.abs(np.diagonal(r)) == 0.0):
         raise SingularTriangularError("triangular factor has a zero diagonal entry")
     trans = 2 if conj_transpose else 0
-    if right:
-        b = np.asarray(b, dtype=np.complex128)
-        flipped = scipy.linalg.solve_triangular(
-            r, b.conj().T, lower=lower, trans=0 if conj_transpose else 2
-        )
-        return flipped.conj().T
-    return scipy.linalg.solve_triangular(r, b, lower=lower, trans=trans)
+    return scipy.linalg.solve_triangular(r, b, trans=trans)

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, written factors, report formats."""
 
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
-from csdk.cli import main
+from csdk.cli import _options_from_args, build_parser, main
 from csdk.cmat import load_matrix, save_matrix
+from csdk.csd import CsdOptions
 from csdk.kernel import U_ROUNDOFF
 from csdk.testgen import gen_clustered
 
@@ -86,11 +89,6 @@ def test_compute_flag_combinations(tmp_path, capsys):
             str(tmp_path / "o"),
             "--method",
             "zolo",
-            "--cs-extraction",
-            "lambda",
-            "--no-postprocess",
-            "--rank-mode",
-            "full",
             "--epsilon",
             "1e-14",
             "--format",
@@ -102,10 +100,35 @@ def test_compute_flag_combinations(tmp_path, capsys):
     assert lines[0].startswith("input,")
 
 
+def test_compute_options_cover_every_knob(monkeypatch):
+    """The compute command line sets exactly the fields of CsdOptions."""
+    args = build_parser().parse_args(
+        ["compute", "--input", "a.cmat", "--m1", "4", "--out", "o"]
+    )
+    passed = {}
+
+    def spy(**kwargs):
+        passed.update(kwargs)
+        return CsdOptions(**kwargs)
+
+    monkeypatch.setattr("csdk.cli.CsdOptions", spy)
+    _options_from_args(args)
+    assert set(passed) == {f.name for f in dataclasses.fields(CsdOptions)}
+
+
 def test_malformed_file_exit_3(tmp_path, capsys):
     src = tmp_path / "bad.cmat"
     src.write_text("cmat 2 two real\n1 2 3 4\n")
     code = main(["compute", "--input", str(src), "--m1", "1", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "error" in capsys.readouterr().err
+
+
+def test_unwritable_output_exit_3(tmp_path, capsys):
+    src = tmp_path / "in.cmat"
+    write_identity_block(src, n=3)
+    prefix = tmp_path / "missing" / "o"
+    code = main(["compute", "--input", str(src), "--m1", "3", "--out", str(prefix)])
     assert code == 3
     assert "error" in capsys.readouterr().err
 
@@ -151,8 +174,22 @@ def test_bench_csv(tmp_path, capsys):
         assert float(row["orthU1/u"]) <= 50 * 12
 
 
-def test_bench_rejects_bad_class(capsys):
-    assert main(["bench", "--classes", "9", "--sizes", "8", "--seeds", "1"]) == 1
+@pytest.mark.parametrize(
+    "classes,sizes,seeds",
+    [
+        ("9", "8", "1"),
+        ("1", "8", "abc"),
+        ("1", "8", "1.."),
+        ("1", "abc", "1"),
+        ("1", "..8", "1"),
+        ("1", "1", "1"),
+        ("1", "8,0", "1"),
+    ],
+)
+def test_bench_rejects_bad_class(capsys, classes, sizes, seeds):
+    code = main(["bench", "--classes", classes, "--sizes", sizes, "--seeds", seeds])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bench_noisy_scaled_residual(capsys):

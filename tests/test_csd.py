@@ -23,12 +23,7 @@ from csdk.csd import (
     polar_via_qr_fix,
     postprocess_trig,
 )
-from csdk.errors import (
-    DimensionError,
-    NotNearIsometryError,
-    PreconditionError,
-    RankInconsistencyError,
-)
+from csdk.errors import DimensionError, NotNearIsometryError, PreconditionError
 from csdk.isometry import assemble_blocks, stability_report
 from csdk.kernel import U_ROUNDOFF, norm_2, norm_fro
 from csdk.polar import polar_svd
@@ -113,12 +108,6 @@ class TestCsdDispatch:
             with pytest.raises(NotNearIsometryError):
                 csd(a, 4)
 
-    def test_full_mode_on_deficient_input_reports_inconsistency(self):
-        a = gen_rank_deficient_haar(12, seed=3)
-        for extraction in ("diag_projection", "from_lambda"):
-            with pytest.raises(RankInconsistencyError):
-                csd(a, 12, CsdOptions(rank_mode="full", cs_extraction=extraction))
-
     def test_nonfinite_rejected(self):
         a = np.vstack([np.eye(2), np.eye(2)]).astype(complex) / np.sqrt(2)
         a[0, 0] = np.nan
@@ -155,13 +144,6 @@ class TestCsdDispatch:
             CsdOptions(epsilon=0.0)
         with pytest.raises(ValueError):
             CsdOptions(epsilon=1e-7)
-        for mode in ("guess", "deficient"):
-            with pytest.raises(ValueError):
-                CsdOptions(rank_mode=mode)
-        with pytest.raises(ValueError):
-            CsdOptions(cs_extraction="magic")
-        with pytest.raises(ValueError):
-            CsdOptions(b_matrix="h2")
 
 
 class TestBuildB:
@@ -255,14 +237,8 @@ class TestPostprocessTrig:
         assert abs(theta[0] - np.arctan(0.8 / 0.6)) <= 1e-8
 
     def test_padding_rows_stay_zero(self):
-        c, s, theta = postprocess_trig(
-            np.array([0.6, 0.0]), np.array([0.8, 0.0]), rank=1
-        )
+        c, s, theta = postprocess_trig(np.array([0.6, 0.0]), np.array([0.8, 0.0]))
         assert c[1] == 0.0 and s[1] == 0.0 and theta[1] == 0.0
-
-    def test_rank_mismatch_signals(self):
-        with pytest.raises(RankInconsistencyError):
-            postprocess_trig(np.array([0.6, 0.6]), np.array([0.8, 0.8]), rank=1)
 
 
 class TestCsFromLambda:
@@ -278,22 +254,6 @@ class TestCsFromLambda:
     def test_clamps_out_of_range(self):
         c, s, th = cs_from_lambda(np.array([1.0 + 1e-12, -1.0 - 1e-12]))
         assert np.all(np.isfinite(th))
-
-    def test_extraction_option_end_to_end(self):
-        n = 8
-        a = gen_haar_stiefel(2 * n, n, seed=33)
-        res = csd(a, n, CsdOptions(cs_extraction="from_lambda"))
-        rep = stability_report(a, res)
-        assert rep.residual_2norm <= 50 * n * U
-        assert rep.orth_u1 <= 50 * n
-
-    def test_extraction_option_rank_deficient(self):
-        n = 12
-        a = gen_rank_deficient_haar(n, seed=13)
-        res = csd(a, n, CsdOptions(cs_extraction="from_lambda"))
-        assert res.k == nint(3 * n / 4)
-        rep = stability_report(a, res)
-        assert rep.residual_2norm <= 50 * n * U
 
 
 class TestPolarViaQrFix:
@@ -490,40 +450,6 @@ class TestInvariants:
         dg = np.abs(np.subtract.outer(g, g))
         assert np.all(dc <= dg + 1e-14)
         assert np.all(ds <= dg + 1e-14)
-
-    def test_unstable_basis_flag_degrades(self):
-        n = 30
-        worst = 0.0
-        for seed in (1, 2, 3, 4, 5, 6):
-            a = gen_clustered(n, seed)
-            res = csd(a, n, CsdOptions(b_matrix="h1"))
-            h2 = polar_svd(a[n:]).h
-            proj = res.v1.conj().T @ h2 @ res.v1
-            off = proj - np.diag(np.diagonal(proj))
-            worst = max(worst, norm_2(off) / (U * norm_2(h2)))
-        assert worst >= 1e3
-
-    def test_postprocess_flag_keeps_raw_diagonals(self):
-        n = 8
-        a = gen_haar_stiefel(2 * n, n, seed=99)
-        res = csd(a, n, CsdOptions(postprocess=False))
-        # Raw projected diagonals satisfy the circle identity only loosely,
-        # but theta is still reported.
-        assert res.theta.shape == (n,)
-        assert np.max(np.abs(res.c**2 + res.s**2 - 1.0)) <= 1e-10
-
-    def test_postprocess_tightens_circle_without_hurting_residual(self):
-        n = 16
-        for seed in (1, 2):
-            a = gen_clustered(n, seed)
-            on = csd(a, n, CsdOptions(postprocess=True))
-            off = csd(a, n, CsdOptions(postprocess=False))
-            err_on = np.max(np.abs(on.c**2 + on.s**2 - 1.0))
-            err_off = np.max(np.abs(off.c**2 + off.s**2 - 1.0))
-            assert err_on <= max(err_off, 3 * U)
-            rep_on = stability_report(a, on)
-            rep_off = stability_report(a, off)
-            assert rep_on.residual_2norm <= rep_off.residual_2norm + 50 * n * U
 
 
 def _count_factorizations(monkeypatch) -> dict:

@@ -163,14 +163,6 @@ class TestSolveTriangular:
         with pytest.raises(SingularTriangularError):
             solve_triangular(r, crandn(3, 1))
 
-    def test_right_side(self):
-        r = np.triu(crandn(4, 4)) + 4 * np.eye(4)
-        b = crandn(2, 4)
-        x = solve_triangular(r, b, right=True)
-        assert norm_fro(x @ r - b) <= 1e-12
-        y = solve_triangular(r, b, right=True, conj_transpose=True)
-        assert norm_fro(y @ r.conj().T - b) <= 1e-12
-
 
 class TestAsMatrix:
     def test_rejects_nonfinite(self):
