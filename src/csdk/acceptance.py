@@ -125,12 +125,14 @@ def criterion_3() -> CriterionResult:
 def criterion_4() -> CriterionResult:
     """Instability witness: eigendecomposing H1 instead of H2 - H1 must
     visibly break the projected diagonalization on clustered angles.  The
-    H1 basis comes from the solvers `csd` runs on its qdwh route."""
+    H1 basis comes from the solvers `csd` runs on its qdwh route: the
+    iterative qdwh polar and LAPACK's Hermitian eigensolver."""
     n = 30
     witnessed = []
     for seed in range(1, 7):
         a = gen_clustered(n, seed)
-        v1 = symeig_sdc(hermitian_part(polar_iterative(a[:n], method="qdwh").h)).v
+        h1 = polar_iterative(a[:n], method="qdwh").h
+        v1 = symeig_direct(hermitian_part(h1)).v
         h2 = polar_svd(a[n:]).h
         off = _offdiag_norm(v1.conj().T @ h2 @ v1)
         witnessed.append(off / (U_ROUNDOFF * norm_2(h2)))

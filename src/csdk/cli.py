@@ -81,9 +81,8 @@ def _cmd_compute(args) -> int:
     except MatrixFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    opts = _options_from_args(args)
     try:
-        result = csd(a, args.m1, opts)
+        result = csd(a, args.m1, _options_from_args(args))
     except NotNearIsometryError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return 2
@@ -152,7 +151,11 @@ def _cmd_bench(args) -> int:
     if any(n < 2 for n in sizes):
         print("error: sizes must be at least 2", file=sys.stderr)
         return 1
-    opts = _options_from_args(args)
+    try:
+        opts = _options_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     rows = [
         _bench_one(cid, args.noisy, n, seed, opts)
         for cid in sorted(classes)

@@ -13,6 +13,12 @@ near 0 or pi/2, where diagonalizing H1 or H2 directly is hopeless.  mu = 0
 at full rank; below it mu = 2 moves the null space's eigenvalue to 2,
 cleanly separated from the [-1, 1] band of the active angles.
 
+The decomposition is backward stable whenever the two polar
+decompositions and the eigendecomposition are, so any backward-stable
+Hermitian eigensolver serves.  Every polar route uses LAPACK's
+(`symeig_direct`); the spectral divide-and-conquer solver stays
+standalone in `csdk.symeig`.
+
 Ill-conditioned blocks go through the fixed-interval polar variant;
 orthonormality of the resulting W is then restored from the identity
 W = Q Q_H*, where Q and Q_H are the Q-factors of A_i and of its Hermitian
@@ -41,13 +47,13 @@ from .kernel import (
 )
 from .isometry import dist_from_singular_values
 from .polar import PolarFactors, polar_iterative, polar_modified, polar_svd
-from .symeig import symeig_direct, symeig_sdc
+from .symeig import symeig_direct
 
 # Not called here, but perfbench/layers.py looks these names up in this
 # module; it also wraps cs_from_lambda, defined below.
 from .isometry import dist_to_partial_isometry  # noqa: F401
 from .kernel import svd_factor  # noqa: F401
-from .symeig import symeig_interval  # noqa: F401
+from .symeig import symeig_interval, symeig_sdc  # noqa: F401
 
 # Inputs farther than this from any partial isometry are refused: the
 # backward-error guarantees are asymptotic in that distance.
@@ -71,9 +77,9 @@ def nint(x: float) -> int:
 class CsdOptions:
     """Knobs for the decomposition.
 
-    polar_method picks the route for the two polar decompositions (and
-    with it the eigensolver: direct for "svd", spectral divide-and-conquer
-    otherwise); epsilon is the ill-conditioning threshold on a block's
+    polar_method picks the route for the two polar decompositions and
+    nothing else: every route eigendecomposes B with LAPACK's Hermitian
+    solver.  epsilon is the ill-conditioning threshold on a block's
     smallest singular value.  The rank, and with it the branch, is read
     off A itself; see `csd`.
     """
@@ -240,10 +246,6 @@ def _polar_for_block(
         return polar_svd(block), False
 
 
-def _symeig_for(opts: CsdOptions):
-    return symeig_direct if opts.polar_method == "svd" else symeig_sdc
-
-
 def _gated(a: np.ndarray, m1: int) -> tuple[np.ndarray, int]:
     """Validate A and its split at row m1; return A as complex128 and its rank.
 
@@ -311,7 +313,7 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     mu = 0.0 if rank == n else 2.0
     pf1, fix1 = _polar_for_block(a[:m1], opts, rank)
     pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
-    v1 = _symeig_for(opts)(build_B(pf1.h, pf2.h, a, mu)).v[:, :rank]
+    v1 = symeig_direct(build_B(pf1.h, pf2.h, a, mu)).v[:, :rank]
     fixed = fix1 or fix2
     if mu == 0.0:
         branch = "ill_conditioned" if fixed else "full_rank"

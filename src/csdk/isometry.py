@@ -63,9 +63,13 @@ def eps_rank(a: np.ndarray, eps: float, norm: str = "spectral") -> int:
     values above eps; in the Frobenius norm it is the shortest head whose
     discarded tail has root-sum-square at most eps.
     """
+    return _eps_rank_of(singular_values(a), eps, norm)
+
+
+def _eps_rank_of(sigma: np.ndarray, eps: float, norm: str) -> int:
+    """`eps_rank` of a matrix with nonincreasing singular values sigma."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    sigma = svd_factor(a).sigma
     if norm == "spectral":
         return int(np.count_nonzero(sigma > eps))
     if norm == "frobenius":
@@ -108,8 +112,8 @@ def lemma23_bound(a: np.ndarray, eps: float, *, norm: str = "spectral") -> float
     Raises when the eps-rank is zero or sigma_r vanishes.
     """
     a = np.asarray(a, dtype=np.complex128)
-    sigma = svd_factor(a).sigma
-    r = eps_rank(a, eps, norm)
+    sigma = singular_values(a)
+    r = _eps_rank_of(sigma, eps, norm)
     if r == 0 or sigma[r - 1] == 0.0:
         raise PreconditionError("eps-rank is zero or sigma_r vanishes")
     s1, sr = float(sigma[0]), float(sigma[r - 1])

@@ -30,7 +30,6 @@ from .kernel import (
     svd_factor,
 )
 from .zolotarev import (
-    SignApproxParams,
     SignIterationFactors,
     choose_order,
     sign_iteration_factors,
@@ -138,6 +137,17 @@ def _apply_sign_iteration(
     return out
 
 
+def _two_rounds(x: np.ndarray, ell: float, p: int, *, hermitian: bool) -> np.ndarray:
+    """Two rounds of the order-p map, the first tuned to the interval [ell, 1]."""
+    for _ in range(2):
+        fac = sign_iteration_factors(ell, p)
+        x = _apply_sign_iteration(
+            x, fac, use_qr=ell < _QR_SWITCH_ELL, hermitian=hermitian
+        )
+        ell = min(fac.ell_next, 1.0)
+    return x
+
+
 def _orthonormality_defect(w: np.ndarray) -> float:
     n = w.shape[1]
     return norm_fro(w.conj().T @ w - np.eye(n))
@@ -145,7 +155,6 @@ def _orthonormality_defect(w: np.ndarray) -> float:
 
 def polar_iterative(
     a: np.ndarray,
-    params: SignApproxParams | None = None,
     *,
     method: str = "qdwh",
     hermitian: bool = False,
@@ -154,10 +163,10 @@ def polar_iterative(
 
     method "qdwh" runs the p = 1 map adaptively (at most six rounds, error
     if unconverged); method "zolo" runs exactly two rounds with p chosen
-    from the condition estimate unless fixed through params.  The input is
-    scaled by its Frobenius norm, a safe upper bound on the largest
-    singular value; the smallest one is estimated from the triangular
-    factor of a QR factorization.  Raises ConvergenceError when the
+    from the condition estimate.  The input is scaled by its Frobenius
+    norm, a safe upper bound on the largest singular value; the smallest
+    one is estimated from the triangular factor of a QR factorization, and
+    both routes start from that estimate.  Raises ConvergenceError when the
     iteration cannot reach an orthonormal factor, which callers treat as
     an ill-conditioning signal.
     """
@@ -179,19 +188,15 @@ def polar_iterative(
         raise ConvergenceError("zero matrix has no unitary polar factor")
     x = a / alpha
     smin_scaled = sigma_min_estimate(qr_factor(x).r)
-    if params is not None:
-        ell = params.ell
-    else:
-        ell = min(0.9 * smin_scaled, 1.0)
+    ell = min(0.9 * smin_scaled, 1.0)
     if ell <= 0.0:
         raise ConvergenceError("matrix is singular to working precision")
 
     orth_tol = 10.0 * DEFAULT_TOL_FACTOR * n * U_ROUNDOFF
     if method == "qdwh":
-        cap = params.iterations if params is not None else _QDWH_MAX_ITERATIONS
         iterations = 0
         converged = False
-        for _ in range(cap):
+        for _ in range(_QDWH_MAX_ITERATIONS):
             fac = sign_iteration_factors(ell, 1)
             x_new = _apply_sign_iteration(
                 x, fac, use_qr=ell < _QR_SWITCH_ELL, hermitian=hermitian
@@ -212,20 +217,12 @@ def polar_iterative(
             ell = min(ell, 1.0)
         if not converged:
             raise ConvergenceError(
-                f"Halley iteration did not converge in {cap} rounds "
-                f"(sigma_min estimate {smin_scaled:.3e})"
+                f"Halley iteration did not converge in {_QDWH_MAX_ITERATIONS} "
+                f"rounds (sigma_min estimate {smin_scaled:.3e})"
             )
     else:
-        p = params.p if params is not None else choose_order(ell)
-        rounds = params.iterations if params is not None else 2
-        iterations = 0
-        for _ in range(rounds):
-            fac = sign_iteration_factors(ell, p)
-            x = _apply_sign_iteration(
-                x, fac, use_qr=ell < _QR_SWITCH_ELL, hermitian=hermitian
-            )
-            ell = min(fac.ell_next, 1.0)
-            iterations += 1
+        x = _two_rounds(x, ell, choose_order(ell), hermitian=hermitian)
+        iterations = 2
 
     if _orthonormality_defect(x) > orth_tol:
         raise ConvergenceError(
@@ -237,12 +234,9 @@ def polar_iterative(
     return PolarFactors(w, h, "exact", method, smin_scaled * alpha, iterations)
 
 
-def polar_modified(
-    a: np.ndarray,
-    epsilon: float = 1e-15,
-    params: SignApproxParams | None = None,
-) -> PolarFactors:
-    """Sign iteration on the fixed interval [epsilon, 1].
+def polar_modified(a: np.ndarray, epsilon: float = 1e-15) -> PolarFactors:
+    """Sign iteration on the fixed interval [epsilon, 1]: two rounds of the
+    order-MODIFIED_DEFAULT_ORDER Zolotarev map.
 
     Expects A scaled so its largest singular value is close to 1 (submatrices
     of a near partial isometry satisfy this as-is).  Singular values of A at
@@ -251,20 +245,9 @@ def polar_modified(
     symmetrized W*A still matches the true Hermitian factor to O(u).
     """
     a = _require_tall(a)
-    if params is None:
-        params = SignApproxParams(p=MODIFIED_DEFAULT_ORDER, ell=epsilon, iterations=2)
-    x = np.asarray(a, dtype=np.complex128)
-    ell = params.ell
-    iterations = 0
-    for _ in range(params.iterations):
-        fac = sign_iteration_factors(ell, params.p)
-        x = _apply_sign_iteration(x, fac, use_qr=ell < _QR_SWITCH_ELL, hermitian=False)
-        ell = min(fac.ell_next, 1.0)
-        iterations += 1
-    w = x
+    w = _two_rounds(a, epsilon, MODIFIED_DEFAULT_ORDER, hermitian=False)
     h = hermitian_part(w.conj().T @ a)
-    method = "qdwh" if params.p == 1 else "zolo"
-    return PolarFactors(w, h, "interval_modified", method, epsilon, iterations)
+    return PolarFactors(w, h, "interval_modified", "zolo", epsilon, 2)
 
 
 def canonical_polar(a: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:

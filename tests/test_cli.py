@@ -149,6 +149,20 @@ def test_bad_shape_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("epsilon", ["1e-3", "0"])
+@pytest.mark.parametrize("command", ["compute", "bench"])
+def test_epsilon_out_of_range_exit_1(tmp_path, capsys, command, epsilon):
+    src = tmp_path / "in.cmat"
+    write_identity_block(src, n=3)
+    if command == "compute":
+        argv = ["compute", "--input", str(src), "--m1", "3", "--out", str(tmp_path / "o")]
+    else:
+        argv = ["bench", "--classes", "1", "--sizes", "8", "--seeds", "1"]
+    code = main(argv + ["--epsilon", epsilon])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bench_csv(tmp_path, capsys):
     code = main(
         [

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from csdk.csd import (
     CsdOptions,
@@ -452,9 +453,52 @@ class TestInvariants:
         assert np.all(ds <= dg + 1e-14)
 
 
-def _count_factorizations(monkeypatch) -> dict:
-    """Count the SVDs and QRs run from csdk.csd and csdk.polar."""
-    counts = {"singular_values": 0, "svd_factor": 0, "qr_factor": 0}
+def _unitary_completion(a: np.ndarray) -> np.ndarray:
+    """[A, A_perp] for A with orthonormal columns."""
+    q, _ = np.linalg.qr(a, mode="complete")
+    return np.hstack([a, q[:, a.shape[1] :]])
+
+
+class TestAgainstLapackCsd:
+    @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
+    @pytest.mark.parametrize(
+        "m1,m2,n,kind,seed",
+        [
+            # Unequal splits both ways, n = 1 and square blocks, real and
+            # complex input, and one clustered-angle input.
+            (1, 1, 1, "complex", 1),
+            (1, 4, 1, "real", 2),
+            (3, 2, 1, "complex", 3),
+            (9, 6, 5, "complex", 4),
+            (6, 11, 4, "real", 5),
+            (20, 9, 8, "complex", 6),
+            (13, 24, 12, "real", 7),
+            (24, 24, 24, "complex", 8),
+            (30, 24, 24, "real", 9),
+            (16, 16, 16, "clustered", 5),
+        ],
+    )
+    def test_theta_matches_cossin(self, m1, m2, n, kind, seed, method):
+        # LAPACK's CS decomposition ({z,d}orcsd via scipy's cossin) of a
+        # unitary completion is an independent oracle for the angles.
+        if kind == "clustered":
+            a = gen_clustered(n, seed)
+        elif kind == "real":
+            rng = np.random.default_rng(seed)
+            a, _ = np.linalg.qr(rng.standard_normal((m1 + m2, n)))
+        else:
+            a = gen_haar_stiefel(m1 + m2, n, seed)
+        _, theta, _ = scipy.linalg.cossin(
+            _unitary_completion(a), p=m1, q=n, separate=True
+        )
+        res = csd(a, m1, CsdOptions(polar_method=method))
+        assert res.k == n
+        assert np.max(np.abs(res.theta - np.sort(theta))) <= 50 * n * U
+
+
+def _count_calls(monkeypatch, modules, attrs) -> dict:
+    """Count the calls to each of attrs made from code in the modules."""
+    counts = dict.fromkeys(attrs, 0)
 
     def counted(fn, attr):
         def wrapper(*args, **kwargs):
@@ -464,12 +508,21 @@ def _count_factorizations(monkeypatch) -> dict:
         return wrapper
 
     # The package attribute csdk.csd is the function; import the module.
-    for name in ("csdk.csd", "csdk.polar"):
+    for name in modules:
         module = importlib.import_module(name)
         for attr in counts:
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, counted(getattr(module, attr), attr))
     return counts
+
+
+def _count_factorizations(monkeypatch) -> dict:
+    """Count the SVDs and QRs run from csdk.csd and csdk.polar."""
+    return _count_calls(
+        monkeypatch,
+        ("csdk.csd", "csdk.polar"),
+        ("singular_values", "svd_factor", "qr_factor"),
+    )
 
 
 class TestFactorizations:
@@ -493,6 +546,22 @@ class TestFactorizations:
         csd(a, n, CsdOptions(polar_method="qdwh"))
         assert counts["singular_values"] == 3
         assert counts["svd_factor"] == 0
+
+    @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
+    @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+    def test_one_direct_eigensolve_on_every_route(self, monkeypatch, method, deficient):
+        # The polar route picks only the polar route: B always goes to
+        # LAPACK's eigensolver, once, and no spectral split runs.
+        n = 12
+        if deficient:
+            a = gen_rank_deficient_haar(n, seed=2)
+        else:
+            a = gen_haar_stiefel(2 * n, n, seed=2)
+        counts = _count_calls(
+            monkeypatch, ("csdk.csd", "csdk.symeig"), ("symeig_direct", "spectral_split")
+        )
+        csd(a, n, CsdOptions(polar_method=method))
+        assert counts == {"symeig_direct": 1, "spectral_split": 0}
 
     def test_perfbench_tracer_installs(self):
         # `perfbench/run.py --trace 1` wraps names in csdk.csd, csdk.polar,

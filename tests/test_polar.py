@@ -7,6 +7,7 @@ import pytest
 from csdk.errors import ConvergenceError, DimensionError
 from csdk.kernel import U_ROUNDOFF, norm_fro
 from csdk.polar import (
+    MODIFIED_DEFAULT_ORDER,
     canonical_polar,
     polar_iterative,
     polar_modified,
@@ -86,8 +87,8 @@ class TestPolarIterative:
 
     def test_family_members_agree_when_well_conditioned(self):
         a = conditioned(20, 15, 10.0, seed=9)
-        w1 = polar_iterative(a, SignApproxParams(p=1, ell=0.05, iterations=6)).w
-        w8 = polar_iterative(a, SignApproxParams(p=8, ell=0.05, iterations=2), method="zolo").w
+        w1 = polar_iterative(a, method="qdwh").w
+        w8 = polar_iterative(a, method="zolo").w
         assert norm_fro(w1 - w8) <= 1e3 * U_ROUNDOFF
 
     def test_singular_input_signals(self):
@@ -144,11 +145,13 @@ class TestPolarModified:
 
     def test_scalar_shadow_consistency(self):
         # For diagonal input the matrix map acts entrywise, so the computed
-        # Hermitian factor must match d * r(d) from the scalar shadow.
+        # Hermitian factor must match d * r(d) from the scalar shadow of the
+        # default parameters: order MODIFIED_DEFAULT_ORDER, two rounds on
+        # [epsilon, 1].
         d = np.array([1.0, 0.3, 1e-3, 1e-12, 1e-16])
         a = np.diag(d).astype(complex)
-        params = SignApproxParams(p=8, ell=1e-15, iterations=2)
-        pf = polar_modified(a, params=params)
+        params = SignApproxParams(p=MODIFIED_DEFAULT_ORDER, ell=1e-15, iterations=2)
+        pf = polar_modified(a, 1e-15)
         predicted = d * eval_sign_approx(d, params)
         np.testing.assert_allclose(
             np.real(np.diagonal(pf.h)), predicted, atol=1e2 * U_ROUNDOFF
