@@ -19,6 +19,12 @@ Hermitian eigensolver serves.  Every polar route uses LAPACK's
 (`symeig_direct`); the spectral divide-and-conquer solver stays
 standalone in `csdk.symeig`.
 
+On the qdwh and zolo routes each block's singular values, from one
+values-only SVD, pick its polar route and drive the sign iteration: the
+largest scales the block on every such route, and at full rank the
+smallest sets the iteration's interval edge, so no norm bound or QR-based
+estimate runs.  The whole path runs on numpy's LAPACK.
+
 Ill-conditioned blocks go through the fixed-interval polar variant;
 orthonormality of the resulting W is then restored from the identity
 W = Q Q_H*, where Q and Q_H are the Q-factors of A_i and of its Hermitian
@@ -198,7 +204,7 @@ def polar_via_qr_fix(
         raise PreconditionError(
             "block is not ill conditioned; use the standard polar route"
         )
-    modified = polar_modified(ai, epsilon)
+    modified = polar_modified(ai, epsilon, smax=smax)
     qa = qr_factor(ai)
     qh = qr_factor(modified.h)
     denom = max(norm_fro(qa.r), np.finfo(float).tiny)
@@ -218,7 +224,8 @@ def _polar_for_block(
 ) -> tuple[PolarFactors, bool]:
     """Polar factors of one block of A, plus whether the QR-fix route was
     taken.  The svd route reads no singular values; the others read the
-    block's, one values-only SVD, against the thresholds `csd` documents.
+    block's, one values-only SVD, against the thresholds `csd` documents,
+    and hand the largest (and, at full rank, all) to the polar routine.
     """
     if opts.polar_method == "svd":
         return polar_svd(block), False
@@ -237,12 +244,12 @@ def _polar_for_block(
         fixed, _ = polar_via_qr_fix(block, opts.epsilon, sigmas=sigmas)
         return fixed, True
     if not full_rank:
-        return polar_modified(block, opts.epsilon), False
+        return polar_modified(block, opts.epsilon, smax=smax), False
     try:
-        return polar_iterative(block, method=opts.polar_method), False
+        return polar_iterative(block, method=opts.polar_method, sigmas=sigmas), False
     except ConvergenceError:
-        # Condition estimate was too optimistic; the SVD route is
-        # unconditionally stable.
+        # The iteration did not reach an orthonormal factor; the SVD route
+        # is unconditionally stable.
         return polar_svd(block), False
 
 

@@ -1,14 +1,15 @@
 """Polar decomposition A = W H by three interchangeable routes.
 
 `polar_svd` is the unconditionally stable oracle.  `polar_iterative` runs
-the rational sign-function iteration: the p = 1 family (QR/Cholesky Halley
-steps, up to six rounds) or the high-order family (two rounds, order picked
-from a condition estimate).  `polar_modified` runs the same machinery on
-the fixed interval [epsilon, 1] instead of [sigma_min, 1]; its W factor is
-deliberately not orthonormal when A has singular values below epsilon (they
-are mapped into [0, 1] rather than to 1), which is exactly what the
-rank-deficient decomposition downstream needs.  `canonical_polar` is the
-truncated-SVD construction whose W factor is a partial isometry.
+the rational sign-function iteration: the p = 1 family (Halley steps by
+stacked QR or by shifted Gram solves, up to six rounds) or the high-order
+family (two rounds, order picked from the interval edge).  `polar_modified`
+runs the same machinery on the fixed interval [epsilon, 1] instead of
+[sigma_min, 1]; its W factor is deliberately not orthonormal when A has
+singular values below epsilon (they are mapped into [0, 1] rather than to
+1), which is exactly what the rank-deficient decomposition downstream
+needs.  `canonical_polar` is the truncated-SVD construction whose W factor
+is a partial isometry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import ConvergenceError, DimensionError
 from .kernel import (
     DEFAULT_TOL_FACTOR,
     U_ROUNDOFF,
-    cholesky_factor,
     hermitian_part,
     norm_fro,
     qr_factor,
@@ -35,8 +35,11 @@ from .zolotarev import (
     sign_iteration_factors,
 )
 
+# Not called here, but perfbench/layers.py looks this name up in this module.
+from .kernel import cholesky_factor  # noqa: F401
+
 # Below this interval edge the Gram matrix X*X + pole*I is too ill
-# conditioned for Cholesky; use the stacked-QR form of the update.
+# conditioned to solve with directly; use the stacked-QR form of the update.
 _QR_SWITCH_ELL = 0.1
 
 _QDWH_MAX_ITERATIONS = 6
@@ -53,8 +56,9 @@ class PolarFactors:
 
     mode is "exact" when W has orthonormal columns to working precision and
     "interval_modified" when W only has singular values in [0, 1 + O(u)].
-    sigma_min_estimate is the smallest-singular-value estimate used for the
-    iteration setup (unscaled), iterations the number of rounds performed.
+    sigma_min_estimate is the smallest singular value used for the iteration
+    setup (unscaled): exact when the caller supplied the singular values,
+    otherwise estimated; iterations is the number of rounds performed.
     """
 
     w: np.ndarray
@@ -117,6 +121,9 @@ def _apply_sign_iteration(
     """One matrix round x -> (x + sum_j a_j x (x*x + q_j I)^-1) / normalizer."""
     m, n = x.shape
     eye = np.eye(n, dtype=np.complex128)
+    # Above the switch every shifted Gram matrix has condition number at
+    # most 1 + 1/pole, so a plain LU solve is stable; X*X is shared.
+    gram = None if use_qr else hermitian_part(x.conj().T @ x)
     acc = x.copy()
     for a_j, pole in zip(fac.residues, fac.poles):
         if use_qr:
@@ -125,11 +132,7 @@ def _apply_sign_iteration(
             q, _ = np.linalg.qr(stacked)
             term = (q[:m] @ q[m:].conj().T) / root
         else:
-            gram = x.conj().T @ x
-            gram[np.arange(n), np.arange(n)] += pole
-            r = cholesky_factor(hermitian_part(gram))
-            t = solve_triangular(r, x.conj().T, conj_transpose=True)
-            term = solve_triangular(r, t).conj().T
+            term = np.linalg.solve(gram + pole * eye, x.conj().T).conj().T
         acc += a_j * term
     out = acc / fac.normalizer
     if hermitian:
@@ -158,15 +161,19 @@ def polar_iterative(
     *,
     method: str = "qdwh",
     hermitian: bool = False,
+    sigmas: np.ndarray | None = None,
 ) -> PolarFactors:
     """Polar decomposition by the rational sign iteration.
 
     method "qdwh" runs the p = 1 map adaptively (at most six rounds, error
     if unconverged); method "zolo" runs exactly two rounds with p chosen
-    from the condition estimate.  The input is scaled by its Frobenius
-    norm, a safe upper bound on the largest singular value; the smallest
-    one is estimated from the triangular factor of a QR factorization, and
-    both routes start from that estimate.  Raises ConvergenceError when the
+    from the interval edge.  Given A's singular values (nonincreasing,
+    as `kernel.singular_values` returns them), the input is scaled by the
+    largest and the iteration starts from the ratio of the smallest to it.
+    Without them, the input is scaled by a norm bound, a safe upper bound
+    on the largest singular value, and the smallest one is estimated from
+    the triangular factor of a QR factorization.  Either way the interval
+    edge is 0.9 times that ratio.  Raises ConvergenceError when the
     iteration cannot reach an orthonormal factor, which callers treat as
     an ill-conditioning signal.
     """
@@ -174,20 +181,27 @@ def polar_iterative(
         raise ValueError(f"unknown iterative polar method {method!r}")
     a = _require_tall(a)
     m, n = a.shape
-    # Either norm bound is a rigorous sigma_max upper estimate; their min is
-    # tight at an isometry, which then starts at the map's fixed point.
-    alpha = norm_fro(a)
-    if alpha > 0.0:
-        alpha = min(
-            alpha,
-            math.sqrt(
-                np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)
-            ),
-        )
+    if sigmas is not None:
+        alpha = float(sigmas[0]) if len(sigmas) else 0.0
+    else:
+        # Either norm bound is a rigorous sigma_max upper estimate; their
+        # min is tight at an isometry, which then starts at the map's fixed
+        # point.
+        alpha = norm_fro(a)
+        if alpha > 0.0:
+            alpha = min(
+                alpha,
+                math.sqrt(
+                    np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)
+                ),
+            )
     if alpha == 0.0:
         raise ConvergenceError("zero matrix has no unitary polar factor")
     x = a / alpha
-    smin_scaled = sigma_min_estimate(qr_factor(x).r)
+    if sigmas is not None:
+        smin_scaled = float(sigmas[-1]) / alpha
+    else:
+        smin_scaled = sigma_min_estimate(qr_factor(x).r)
     ell = min(0.9 * smin_scaled, 1.0)
     if ell <= 0.0:
         raise ConvergenceError("matrix is singular to working precision")
@@ -234,18 +248,23 @@ def polar_iterative(
     return PolarFactors(w, h, "exact", method, smin_scaled * alpha, iterations)
 
 
-def polar_modified(a: np.ndarray, epsilon: float = 1e-15) -> PolarFactors:
+def polar_modified(
+    a: np.ndarray, epsilon: float = 1e-15, *, smax: float = 1.0
+) -> PolarFactors:
     """Sign iteration on the fixed interval [epsilon, 1]: two rounds of the
-    order-MODIFIED_DEFAULT_ORDER Zolotarev map.
+    order-MODIFIED_DEFAULT_ORDER Zolotarev map, applied to A / smax.
 
-    Expects A scaled so its largest singular value is close to 1 (submatrices
-    of a near partial isometry satisfy this as-is).  Singular values of A at
-    or above epsilon are mapped to 1 - O(u); smaller ones stay in [0, 1], so
-    W is not orthonormal when A is nearly rank deficient, while the
-    symmetrized W*A still matches the true Hermitian factor to O(u).
+    smax should be A's largest singular value: the map sends values above 1
+    away from 1, so W loses orthonormality on an unscaled A with singular
+    values above 1 (a block of an input up to 0.1 from a partial isometry
+    can have them up to 1.1).  The default 1 leaves A as it is.  Singular
+    values of A / smax at or above epsilon are mapped to 1 - O(u); smaller
+    ones stay in [0, 1], so W is not orthonormal when A is nearly rank
+    deficient, while the symmetrized W*A still matches the true Hermitian
+    factor to O(u).
     """
     a = _require_tall(a)
-    w = _two_rounds(a, epsilon, MODIFIED_DEFAULT_ORDER, hermitian=False)
+    w = _two_rounds(a / smax, epsilon, MODIFIED_DEFAULT_ORDER, hermitian=False)
     h = hermitian_part(w.conj().T @ a)
     return PolarFactors(w, h, "interval_modified", "zolo", epsilon, 2)
 

@@ -306,6 +306,21 @@ class TestRankDeficient:
         rep = stability_report(a, res)
         assert rep.residual_2norm <= max(50 * n * U, 10 * rep.d_of_a)
 
+    @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [30, 40, 60])
+    @pytest.mark.parametrize("class_id", [3, 4])
+    def test_scaled_above_one_stays_orthonormal(self, class_id, n, seed, method):
+        # Scaled by 1.09 the input is still inside the gate (d = 0.09), but
+        # its blocks have singular values above 1, which the fixed-interval
+        # map on [epsilon, 1] only sends to 1 after scaling by sigma_max.
+        a = 1.09 * generate(TestCase(class_id, False, n, seed))
+        res = csd(a, n, CsdOptions(polar_method=method))
+        rep = stability_report(a, res)
+        assert rep.orth_u1 <= 50 * n
+        assert rep.orth_u2 <= 50 * n
+        assert rep.orth_v1 <= 50 * n
+
     def test_tiny_example(self):
         a = np.zeros((4, 2), dtype=complex)
         a[0, 0] = 1.0
@@ -546,6 +561,30 @@ class TestFactorizations:
         csd(a, n, CsdOptions(polar_method="qdwh"))
         assert counts["singular_values"] == 3
         assert counts["svd_factor"] == 0
+
+    @pytest.mark.parametrize(
+        "method,deficient",
+        [("qdwh", False), ("zolo", False), ("qdwh", True)],
+        ids=["qdwh", "zolo", "deficient"],
+    )
+    def test_block_polars_run_no_qr_estimate_or_triangular_solve(
+        self, monkeypatch, method, deficient
+    ):
+        # The block's singular values give the sign iteration its scale and
+        # interval, so no QR sigma_min estimate runs, and each Gram-form
+        # round solves its shifted Gram matrices with numpy's LU.
+        n = 12
+        if deficient:
+            a = gen_rank_deficient_haar(n, seed=2)
+        else:
+            a = generate(TestCase(1, False, n, 1))
+        counts = _count_calls(
+            monkeypatch,
+            ("csdk.polar",),
+            ("qr_factor", "cholesky_factor", "solve_triangular"),
+        )
+        csd(a, n, CsdOptions(polar_method=method))
+        assert counts == {"qr_factor": 0, "cholesky_factor": 0, "solve_triangular": 0}
 
     @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
     @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])

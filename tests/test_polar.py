@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from csdk.errors import ConvergenceError, DimensionError
-from csdk.kernel import U_ROUNDOFF, norm_fro
+from csdk.kernel import U_ROUNDOFF, norm_fro, singular_values
 from csdk.polar import (
     MODIFIED_DEFAULT_ORDER,
     canonical_polar,
@@ -90,6 +90,33 @@ class TestPolarIterative:
         w1 = polar_iterative(a, method="qdwh").w
         w8 = polar_iterative(a, method="zolo").w
         assert norm_fro(w1 - w8) <= 1e3 * U_ROUNDOFF
+
+    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
+    def test_given_sigmas_match_estimate_path(self, method):
+        a = conditioned(20, 15, 10.0, seed=9)
+        w_est = polar_iterative(a, method=method).w
+        w_sig = polar_iterative(a, method=method, sigmas=singular_values(a)).w
+        assert norm_fro(w_sig - w_est) <= 1e3 * U_ROUNDOFF
+
+    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
+    @pytest.mark.parametrize(
+        "kappa,shape,seed",
+        [(1e4, (40, 30), 11), (1e4, (25, 20), 3), (1e8, (25, 20), 3), (1e8, (25, 20), 4)],
+    )
+    def test_given_sigmas_residual_contract(self, method, kappa, shape, seed):
+        # The conditioned inputs above, started from the exact sigma_min:
+        # the same residual and orthogonality bounds, in no more rounds.
+        m, n = shape
+        a = conditioned(m, n, kappa, seed)
+        sigmas = singular_values(a)
+        pf = polar_iterative(a, method=method, sigmas=sigmas)
+        bound = 50 * n * U_ROUNDOFF
+        assert norm_fro(pf.w @ pf.h - a) / norm_fro(a) <= bound
+        assert norm_fro(pf.w.conj().T @ pf.w - np.eye(n)) <= bound
+        assert norm_fro(pf.h - pf.h.conj().T) == 0.0
+        assert np.min(np.linalg.eigvalsh(pf.h)) >= -50 * n * U_ROUNDOFF
+        assert pf.sigma_min_estimate == pytest.approx(sigmas[-1], rel=4 * U_ROUNDOFF)
+        assert pf.iterations <= polar_iterative(a, method=method).iterations
 
     def test_singular_input_signals(self):
         a = np.diag([1.0, 0.0]).astype(complex)
