@@ -17,7 +17,6 @@ from .errors import (
     MatrixFormatError,
     NotNearIsometryError,
     PreconditionError,
-    SingularTriangularError,
 )
 from .isometry import StabilityReport, dist_to_partial_isometry, stability_report
 
@@ -33,7 +32,6 @@ __all__ = [
     "MatrixFormatError",
     "NotNearIsometryError",
     "PreconditionError",
-    "SingularTriangularError",
     "StabilityReport",
     "csd",
     "csd_2x2",

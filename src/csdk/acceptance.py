@@ -15,7 +15,7 @@ import numpy as np
 
 from .csd import CsdOptions, csd, csd_2x2, nint
 from .isometry import eps_rank, lemma22_check, lemma23_bound, stability_report
-from .kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro
+from .kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro, singular_values
 from .polar import canonical_polar, polar_iterative, polar_modified, polar_svd
 from .symeig import symeig_direct, symeig_sdc
 from .testgen import TestCase, bench_sizes, gen_clustered, gen_haar_stiefel, generate
@@ -126,12 +126,14 @@ def criterion_4() -> CriterionResult:
     """Instability witness: eigendecomposing H1 instead of H2 - H1 must
     visibly break the projected diagonalization on clustered angles.  The
     H1 basis comes from the solvers `csd` runs on its qdwh route: the
-    iterative qdwh polar and LAPACK's Hermitian eigensolver."""
+    iterative qdwh polar, told the block's singular values, and LAPACK's
+    Hermitian eigensolver."""
     n = 30
     witnessed = []
     for seed in range(1, 7):
         a = gen_clustered(n, seed)
-        h1 = polar_iterative(a[:n], method="qdwh").h
+        sig = singular_values(a[:n])
+        h1 = polar_iterative(a[:n], sig[0], sig[-1], method="qdwh").h
         v1 = symeig_direct(hermitian_part(h1)).v
         h2 = polar_svd(a[n:]).h
         off = _offdiag_norm(v1.conj().T @ h2 @ v1)
@@ -155,17 +157,20 @@ def _conditioned_instance(seed: int):
 
 def criterion_5() -> CriterionResult:
     """Polar contracts over condition numbers 1..1e8 for all methods, the
-    six-round cap for the Halley family, and the fixed-interval identities."""
+    six-round cap for the Halley family, and the fixed-interval identities.
+    The iterative and fixed-interval routines are told the input's singular
+    values, as `csd` tells them a block's."""
     rows = []
     ok = True
     for seed in range(50):
         a, kappa, m, n = _conditioned_instance(seed)
         bound = 50.0 * n * U_ROUNDOFF * norm_fro(a)
+        sig = singular_values(a)
         for method in ("svd", "qdwh", "zolo"):
             if method == "svd":
                 pf = polar_svd(a)
             else:
-                pf = polar_iterative(a, method=method)
+                pf = polar_iterative(a, sig[0], sig[-1], method=method)
             resid = norm_fro(pf.w @ pf.h - a)
             if resid > bound:
                 ok = False
@@ -174,7 +179,7 @@ def criterion_5() -> CriterionResult:
                 ok = False
                 rows.append(f"seed {seed}: {pf.iterations} rounds")
         href = polar_svd(a).h
-        pf = polar_modified(a)
+        pf = polar_modified(a, smax=sig[0])
         dh = norm_fro(pf.h - href)
         dwh = norm_fro(pf.w @ pf.h - a)
         if dh > 1e3 * U_ROUNDOFF or dwh > 1e3 * U_ROUNDOFF:

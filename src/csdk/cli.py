@@ -120,6 +120,8 @@ def _parse_int_list(text: str) -> list[int]:
             out.extend(range(int(lo), int(hi) + 1))
         else:
             out.append(int(part))
+    if not out:
+        raise ValueError(f"{text!r} names no values")
     return out
 
 

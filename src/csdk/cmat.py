@@ -81,9 +81,12 @@ def _parse_matrix_market(lines: list[str], path) -> np.ndarray:
     if not data:
         raise MatrixFormatError(f"{path}: missing size line")
     dims = data[0].split()
-    if len(dims) != 2:
+    try:
+        rows, cols = (int(d) for d in dims)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: bad size line {data[0]!r}") from exc
+    if rows < 0 or cols < 0:
         raise MatrixFormatError(f"{path}: bad size line {data[0]!r}")
-    rows, cols = int(dims[0]), int(dims[1])
     body = " ".join(data[1:]).split()
     per_entry = 2 if field == "complex" else 1
     if len(body) != rows * cols * per_entry:

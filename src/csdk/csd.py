@@ -22,8 +22,9 @@ standalone in `csdk.symeig`.
 On the qdwh and zolo routes each block's singular values, from one
 values-only SVD, pick its polar route and drive the sign iteration: the
 largest scales the block on every such route, and at full rank the
-smallest sets the iteration's interval edge, so no norm bound or QR-based
-estimate runs.  The whole path runs on numpy's LAPACK.
+smallest sets the iteration's interval edge.  The polar routines take
+these values from the caller and compute none of their own.  The whole
+path runs on numpy's LAPACK.
 
 Ill-conditioned blocks go through the fixed-interval polar variant;
 orthonormality of the resulting W is then restored from the identity
@@ -180,7 +181,7 @@ def polar_via_qr_fix(
     ai: np.ndarray,
     epsilon: float = 1e-15,
     *,
-    sigmas: np.ndarray | None = None,
+    sigmas: np.ndarray,
 ) -> tuple[PolarFactors, float]:
     """Orthonormal polar factor for an ill-conditioned block.
 
@@ -192,11 +193,10 @@ def polar_via_qr_fix(
     1e3*n*u the routine falls back to the SVD route.  Refuses blocks that
     are not ill conditioned: the gate sits at the rank-deficient danger
     threshold so that noisy near-singular blocks (smallest singular value
-    at the noise floor rather than below epsilon) still qualify.
+    at the noise floor rather than below epsilon) still qualify.  sigmas
+    are A_i's singular values, nonincreasing.
     """
     ai = np.asarray(ai, dtype=np.complex128)
-    if sigmas is None:
-        sigmas = singular_values(ai)
     smax = float(sigmas[0]) if sigmas.size else 0.0
     smin = float(sigmas[-1]) if sigmas.size else 0.0
     gate = max(epsilon, _RANK_DEFICIENT_FIX_THRESHOLD)
@@ -225,18 +225,19 @@ def _polar_for_block(
     """Polar factors of one block of A, plus whether the QR-fix route was
     taken.  The svd route reads no singular values; the others read the
     block's, one values-only SVD, against the thresholds `csd` documents,
-    and hand the largest (and, at full rank, all) to the polar routine.
+    and hand the largest (and, at full rank, the smallest) to the polar
+    routine; the QR-fix route takes them all.
     """
     if opts.polar_method == "svd":
         return polar_svd(block), False
     sigmas = singular_values(block)
-    smax = float(sigmas[0])
+    smax, smin = float(sigmas[0]), float(sigmas[-1])
     if smax == 0.0:
         # A zero block: any orthonormal W with H = 0 is fine.
         return polar_svd(block), False
     full_rank = rank == block.shape[1]
     if full_rank:
-        ill = sigmas[-1] / smax < opts.epsilon
+        ill = smin / smax < opts.epsilon
     else:
         active_min = float(sigmas[rank - 1]) if rank >= 1 else 0.0
         ill = active_min < max(opts.epsilon, _RANK_DEFICIENT_FIX_THRESHOLD)
@@ -246,7 +247,7 @@ def _polar_for_block(
     if not full_rank:
         return polar_modified(block, opts.epsilon, smax=smax), False
     try:
-        return polar_iterative(block, method=opts.polar_method, sigmas=sigmas), False
+        return polar_iterative(block, smax, smin, method=opts.polar_method), False
     except ConvergenceError:
         # The iteration did not reach an orthonormal factor; the SVD route
         # is unconditionally stable.

@@ -13,10 +13,6 @@ class IndefiniteMatrixError(CsdkError):
     """Cholesky factorization hit a non-positive pivot."""
 
 
-class SingularTriangularError(CsdkError):
-    """Triangular solve encountered a zero diagonal entry."""
-
-
 class ConvergenceError(CsdkError):
     """An iteration failed to converge within its cap."""
 

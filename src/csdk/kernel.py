@@ -2,8 +2,8 @@
 
 Everything downstream works on plain ``numpy.ndarray`` matrices of
 ``complex128`` in row-major (C) order; that convention is fixed package-wide.
-This module wraps the LAPACK-backed factorizations with the conventions the
-rest of the package relies on, most importantly a QR factorization whose
+This module wraps numpy's LAPACK-backed factorizations with the conventions
+the rest of the package relies on, most importantly a QR factorization whose
 R-factor has an exactly real, nonnegative diagonal (which makes the
 factorization unique and the Q-factor of a Gaussian matrix Haar distributed).
 """
@@ -13,14 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    IndefiniteMatrixError,
-    SingularTriangularError,
-)
+from .errors import ConvergenceError, DimensionError, IndefiniteMatrixError
 
 # Unit roundoff of IEEE double precision.
 U_ROUNDOFF = 2.0**-53
@@ -132,14 +126,3 @@ def singular_values(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
 
-
-def solve_triangular(
-    r: np.ndarray, b: np.ndarray, *, conj_transpose: bool = False
-) -> np.ndarray:
-    """Solve R X = B (or R* X = B) for upper triangular R with nonzero
-    diagonal."""
-    r = np.asarray(r, dtype=np.complex128)
-    if np.any(np.abs(np.diagonal(r)) == 0.0):
-        raise SingularTriangularError("triangular factor has a zero diagonal entry")
-    trans = 2 if conj_transpose else 0
-    return scipy.linalg.solve_triangular(r, b, trans=trans)

@@ -3,13 +3,16 @@
 `polar_svd` is the unconditionally stable oracle.  `polar_iterative` runs
 the rational sign-function iteration: the p = 1 family (Halley steps by
 stacked QR or by shifted Gram solves, up to six rounds) or the high-order
-family (two rounds, order picked from the interval edge).  `polar_modified`
-runs the same machinery on the fixed interval [epsilon, 1] instead of
-[sigma_min, 1]; its W factor is deliberately not orthonormal when A has
-singular values below epsilon (they are mapped into [0, 1] rather than to
-1), which is exactly what the rank-deficient decomposition downstream
-needs.  `canonical_polar` is the truncated-SVD construction whose W factor
-is a partial isometry.
+family (two rounds, order picked from the interval edge).  The iterative
+routines compute no spectral facts themselves: the caller supplies the
+largest singular value, which scales the input, and `polar_iterative`
+also takes the smallest one (or a lower bound on it), which sets the
+interval edge.  `polar_modified` runs the same machinery on the fixed
+interval [epsilon, 1] instead of [sigma_min, 1]; its W factor is
+deliberately not orthonormal when A has singular values below epsilon
+(they are mapped into [0, 1] rather than to 1), which is exactly what the
+rank-deficient decomposition downstream needs.  `canonical_polar` is the
+truncated-SVD construction whose W factor is a partial isometry.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from .kernel import (
     U_ROUNDOFF,
     hermitian_part,
     norm_fro,
-    qr_factor,
-    solve_triangular,
     svd_factor,
 )
 from .zolotarev import (
@@ -35,8 +36,8 @@ from .zolotarev import (
     sign_iteration_factors,
 )
 
-# Not called here, but perfbench/layers.py looks this name up in this module.
-from .kernel import cholesky_factor  # noqa: F401
+# Not called here, but perfbench/layers.py looks these names up in this module.
+from .kernel import cholesky_factor, qr_factor  # noqa: F401
 
 # Below this interval edge the Gram matrix X*X + pole*I is too ill
 # conditioned to solve with directly; use the stacked-QR form of the update.
@@ -56,9 +57,10 @@ class PolarFactors:
 
     mode is "exact" when W has orthonormal columns to working precision and
     "interval_modified" when W only has singular values in [0, 1 + O(u)].
-    sigma_min_estimate is the smallest singular value used for the iteration
-    setup (unscaled): exact when the caller supplied the singular values,
-    otherwise estimated; iterations is the number of rounds performed.
+    sigma_min_estimate is the smin the caller supplied to `polar_iterative`
+    (sigma_min or a lower bound on it), sigma_min itself on the SVD route,
+    and the interval edge epsilon on the fixed-interval variant; iterations
+    is the number of rounds performed.
     """
 
     w: np.ndarray
@@ -84,35 +86,6 @@ def polar_svd(a: np.ndarray) -> PolarFactors:
     h = hermitian_part((f.q * f.sigma) @ f.q.conj().T)
     smin = float(f.sigma[-1]) if f.sigma.size else 0.0
     return PolarFactors(w, h, "exact", "svd", smin)
-
-
-def sigma_min_estimate(r: np.ndarray, steps: int = 3) -> float:
-    """Estimate sigma_min of a triangular factor R.
-
-    Starts from the smallest diagonal magnitude (always an overestimate)
-    and refines with a few inverse-iteration steps on R* R.  Returns 0.0
-    when R is singular to working precision.
-    """
-    n = r.shape[0]
-    if n == 0:
-        return 0.0
-    diag_min = float(np.min(np.abs(np.diagonal(r))))
-    if diag_min == 0.0:
-        return 0.0
-    v = (1.0 + 0.01 * np.arange(n) / max(n - 1, 1)).astype(np.complex128)
-    v /= np.linalg.norm(v)
-    est = diag_min
-    for _ in range(steps):
-        t = solve_triangular(r, v, conj_transpose=True)
-        z = solve_triangular(r, t)
-        nz = float(np.linalg.norm(z))
-        if not math.isfinite(nz):
-            return 0.0
-        if nz == 0.0:
-            return diag_min
-        est = 1.0 / math.sqrt(nz)
-        v = z / nz
-    return min(est, diag_min)
 
 
 def _apply_sign_iteration(
@@ -158,50 +131,31 @@ def _orthonormality_defect(w: np.ndarray) -> float:
 
 def polar_iterative(
     a: np.ndarray,
+    smax: float,
+    smin: float,
     *,
     method: str = "qdwh",
     hermitian: bool = False,
-    sigmas: np.ndarray | None = None,
 ) -> PolarFactors:
     """Polar decomposition by the rational sign iteration.
 
     method "qdwh" runs the p = 1 map adaptively (at most six rounds, error
     if unconverged); method "zolo" runs exactly two rounds with p chosen
-    from the interval edge.  Given A's singular values (nonincreasing,
-    as `kernel.singular_values` returns them), the input is scaled by the
-    largest and the iteration starts from the ratio of the smallest to it.
-    Without them, the input is scaled by a norm bound, a safe upper bound
-    on the largest singular value, and the smallest one is estimated from
-    the triangular factor of a QR factorization.  Either way the interval
-    edge is 0.9 times that ratio.  Raises ConvergenceError when the
-    iteration cannot reach an orthonormal factor, which callers treat as
-    an ill-conditioning signal.
+    from the interval edge.  smax is A's largest singular value or an upper
+    bound on it, and scales the input; smin is A's smallest singular value
+    or a lower bound on it.  The interval edge is 0.9 * smin / smax: an
+    underestimate only costs rounds, an overestimate can cost accuracy.
+    Raises ConvergenceError when the iteration cannot reach an orthonormal
+    factor, which callers treat as an ill-conditioning signal.
     """
     if method not in ("qdwh", "zolo"):
         raise ValueError(f"unknown iterative polar method {method!r}")
     a = _require_tall(a)
-    m, n = a.shape
-    if sigmas is not None:
-        alpha = float(sigmas[0]) if len(sigmas) else 0.0
-    else:
-        # Either norm bound is a rigorous sigma_max upper estimate; their
-        # min is tight at an isometry, which then starts at the map's fixed
-        # point.
-        alpha = norm_fro(a)
-        if alpha > 0.0:
-            alpha = min(
-                alpha,
-                math.sqrt(
-                    np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)
-                ),
-            )
-    if alpha == 0.0:
+    n = a.shape[1]
+    if smax == 0.0:
         raise ConvergenceError("zero matrix has no unitary polar factor")
-    x = a / alpha
-    if sigmas is not None:
-        smin_scaled = float(sigmas[-1]) / alpha
-    else:
-        smin_scaled = sigma_min_estimate(qr_factor(x).r)
+    x = a / smax
+    smin_scaled = smin / smax
     ell = min(0.9 * smin_scaled, 1.0)
     if ell <= 0.0:
         raise ConvergenceError("matrix is singular to working precision")
@@ -232,7 +186,7 @@ def polar_iterative(
         if not converged:
             raise ConvergenceError(
                 f"Halley iteration did not converge in {_QDWH_MAX_ITERATIONS} "
-                f"rounds (sigma_min estimate {smin_scaled:.3e})"
+                f"rounds (sigma_min / sigma_max {smin_scaled:.3e})"
             )
     else:
         x = _two_rounds(x, ell, choose_order(ell), hermitian=hermitian)
@@ -245,23 +199,22 @@ def polar_iterative(
         )
     w = x
     h = hermitian_part(w.conj().T @ a)
-    return PolarFactors(w, h, "exact", method, smin_scaled * alpha, iterations)
+    return PolarFactors(w, h, "exact", method, float(smin), iterations)
 
 
 def polar_modified(
-    a: np.ndarray, epsilon: float = 1e-15, *, smax: float = 1.0
+    a: np.ndarray, epsilon: float = 1e-15, *, smax: float
 ) -> PolarFactors:
     """Sign iteration on the fixed interval [epsilon, 1]: two rounds of the
     order-MODIFIED_DEFAULT_ORDER Zolotarev map, applied to A / smax.
 
-    smax should be A's largest singular value: the map sends values above 1
-    away from 1, so W loses orthonormality on an unscaled A with singular
-    values above 1 (a block of an input up to 0.1 from a partial isometry
-    can have them up to 1.1).  The default 1 leaves A as it is.  Singular
-    values of A / smax at or above epsilon are mapped to 1 - O(u); smaller
-    ones stay in [0, 1], so W is not orthonormal when A is nearly rank
-    deficient, while the symmetrized W*A still matches the true Hermitian
-    factor to O(u).
+    smax is A's largest singular value: the map sends values above 1 away
+    from 1, so W loses orthonormality on an unscaled A with singular values
+    above 1 (a block of an input up to 0.1 from a partial isometry can have
+    them up to 1.1).  Singular values of A / smax at or above epsilon are
+    mapped to 1 - O(u); smaller ones stay in [0, 1], so W is not
+    orthonormal when A is nearly rank deficient, while the symmetrized W*A
+    still matches the true Hermitian factor to O(u).
     """
     a = _require_tall(a)
     w = _two_rounds(a / smax, epsilon, MODIFIED_DEFAULT_ORDER, hermitian=False)

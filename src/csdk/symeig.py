@@ -31,6 +31,14 @@ from .polar import polar_iterative
 
 _DIRECT_BLOCK = 4
 
+# Lower bound on sigma_min / sigma_max handed to the polar iteration of a
+# split, which knows no singular values of B - s*I.  Its scalar shadow,
+# sign_iteration_factors(ell, 1), takes ell from 0.9e-15 (and from as low
+# as 1e-17) to 1 in 6 Halley rounds, the iteration's cap, so no estimate
+# is needed; a shift closer than this to an eigenvalue surfaces as
+# ConvergenceError.
+_ELL_FLOOR = 1e-15
+
 
 @dataclass(frozen=True)
 class SymEigResult:
@@ -73,7 +81,12 @@ def spectral_split(
     bh = np.asarray(b, dtype=np.complex128)
     n = bh.shape[0]
     shifted = bh - s * np.eye(n)
-    pf = polar_iterative(shifted, method="qdwh", hermitian=True)
+    # B - s*I is Hermitian, so its 1-norm equals its infinity-norm and
+    # either bound caps its largest singular value.
+    smax = min(norm_fro(shifted), float(np.linalg.norm(shifted, 1)))
+    pf = polar_iterative(
+        shifted, smax, _ELL_FLOOR * smax, method="qdwh", hermitian=True
+    )
     proj = hermitian_part(0.5 * (pf.w + np.eye(n)))
     tr = float(np.trace(proj).real)
     nplus = int(round(tr))

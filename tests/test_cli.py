@@ -124,6 +124,15 @@ def test_malformed_file_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data", ["x 2\n1 2\n", "-1 -1\n1\n"])
+def test_malformed_matrix_market_size_exit_3(tmp_path, capsys, data):
+    src = tmp_path / "bad.mtx"
+    src.write_text("%%MatrixMarket matrix array real general\n" + data)
+    code = main(["compute", "--input", str(src), "--m1", "1", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "error" in capsys.readouterr().err
+
+
 def test_unwritable_output_exit_3(tmp_path, capsys):
     src = tmp_path / "in.cmat"
     write_identity_block(src, n=3)
@@ -198,6 +207,10 @@ def test_bench_csv(tmp_path, capsys):
         ("1", "..8", "1"),
         ("1", "1", "1"),
         ("1", "8,0", "1"),
+        ("1", "8", "3..1"),
+        ("1", "8", ","),
+        ("1", ",", "1"),
+        ("", "8", "1"),
     ],
 )
 def test_bench_rejects_bad_class(capsys, classes, sizes, seeds):

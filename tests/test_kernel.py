@@ -1,17 +1,16 @@
 """Kernel factorization contracts: QR phase convention, Cholesky, SVD,
-triangular solves, determinism."""
+determinism."""
 
 import numpy as np
 import pytest
 
-from csdk.errors import DimensionError, IndefiniteMatrixError, SingularTriangularError
+from csdk.errors import DimensionError, IndefiniteMatrixError
 from csdk.kernel import (
     U_ROUNDOFF,
     as_matrix,
     cholesky_factor,
     norm_fro,
     qr_factor,
-    solve_triangular,
     svd_factor,
 )
 
@@ -132,36 +131,6 @@ class TestSvd:
         f1, f2 = svd_factor(a), svd_factor(a)
         np.testing.assert_array_equal(f1.p, f2.p)
         np.testing.assert_array_equal(f1.sigma, f2.sigma)
-
-
-class TestSolveTriangular:
-    def test_identity(self):
-        b = crandn(3, 2)
-        np.testing.assert_array_equal(
-            solve_triangular(np.eye(3, dtype=complex), b), b
-        )
-
-    def test_scalar(self):
-        x = solve_triangular(np.array([[2.0 + 0j]]), np.array([[4.0 + 0j]]))
-        np.testing.assert_allclose(x, [[2.0]])
-
-    def test_multiply_back(self):
-        r = np.triu(crandn(5, 5)) + 5 * np.eye(5)
-        b = crandn(5, 3)
-        x = solve_triangular(r, b)
-        assert norm_fro(r @ x - b) <= 1e2 * U_ROUNDOFF * norm_fro(b) * 10
-
-    def test_conj_transpose_flag(self):
-        r = np.triu(crandn(4, 4)) + 4 * np.eye(4)
-        b = crandn(4, 2)
-        x = solve_triangular(r, b, conj_transpose=True)
-        assert norm_fro(r.conj().T @ x - b) <= 1e-12
-
-    def test_zero_diagonal_signals(self):
-        r = np.triu(crandn(3, 3))
-        r[1, 1] = 0.0
-        with pytest.raises(SingularTriangularError):
-            solve_triangular(r, crandn(3, 1))
 
 
 class TestAsMatrix:

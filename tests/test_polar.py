@@ -24,6 +24,30 @@ def conditioned(m, n, kappa, seed):
     return (p * sigma) @ q.conj().T
 
 
+def extremes(a):
+    """(sigma_max, sigma_min) of A, as a polar routine's caller supplies them."""
+    sigmas = singular_values(a)
+    return sigmas[0], sigmas[-1]
+
+
+# The conditioned inputs of the residual contract and iteration cap tests.
+CONDITIONED_CASES = [
+    (1e4, (40, 30), 11),
+    (1e4, (25, 20), 3),
+    (1e8, (25, 20), 3),
+    (1e8, (25, 20), 4),
+]
+
+
+def assert_residual_contract(a, pf):
+    n = a.shape[1]
+    bound = 50 * n * U_ROUNDOFF
+    assert norm_fro(pf.w @ pf.h - a) / norm_fro(a) <= bound
+    assert norm_fro(pf.w.conj().T @ pf.w - np.eye(n)) <= bound
+    assert norm_fro(pf.h - pf.h.conj().T) == 0.0
+    assert np.min(np.linalg.eigvalsh(pf.h)) >= -50 * n * U_ROUNDOFF
+
+
 class TestPolarSvd:
     def test_identity(self):
         pf = polar_svd(np.eye(3, dtype=complex))
@@ -50,7 +74,7 @@ class TestPolarSvd:
 
 class TestPolarIterative:
     def test_identity_is_fixed_point(self):
-        pf = polar_iterative(np.eye(4, dtype=complex))
+        pf = polar_iterative(np.eye(4, dtype=complex), 1.0, 1.0)
         assert pf.iterations == 1
         assert norm_fro(pf.w - np.eye(4)) <= 10 * U_ROUNDOFF
 
@@ -58,7 +82,7 @@ class TestPolarIterative:
         a = np.diag([1.0, 0.5]).astype(complex)
         ref = polar_svd(a)
         for method in ("qdwh", "zolo"):
-            pf = polar_iterative(a, method=method)
+            pf = polar_iterative(a, 1.0, 0.5, method=method)
             assert norm_fro(pf.w - ref.w) <= 1e2 * U_ROUNDOFF
             assert norm_fro(pf.h - a) <= 1e2 * U_ROUNDOFF
 
@@ -66,7 +90,7 @@ class TestPolarIterative:
     def test_conditioned_residual_contract(self, method):
         m, n = 40, 30
         a = conditioned(m, n, 1e4, seed=11)
-        pf = polar_iterative(a, method=method)
+        pf = polar_iterative(a, *extremes(a), method=method)
         bound = 50 * n * U_ROUNDOFF
         assert norm_fro(pf.w @ pf.h - a) / norm_fro(a) <= bound
         assert norm_fro(pf.w.conj().T @ pf.w - np.eye(n)) <= bound
@@ -78,75 +102,80 @@ class TestPolarIterative:
 
     def test_qdwh_iteration_cap(self):
         for kappa in (1e0, 1e4, 1e8):
-            pf = polar_iterative(conditioned(25, 20, kappa, seed=3), method="qdwh")
+            a = conditioned(25, 20, kappa, seed=3)
+            pf = polar_iterative(a, *extremes(a), method="qdwh")
             assert pf.iterations <= 6
 
     def test_zolo_two_rounds(self):
-        pf = polar_iterative(conditioned(25, 20, 1e8, seed=4), method="zolo")
+        a = conditioned(25, 20, 1e8, seed=4)
+        pf = polar_iterative(a, *extremes(a), method="zolo")
         assert pf.iterations == 2
 
     def test_family_members_agree_when_well_conditioned(self):
         a = conditioned(20, 15, 10.0, seed=9)
-        w1 = polar_iterative(a, method="qdwh").w
-        w8 = polar_iterative(a, method="zolo").w
+        w1 = polar_iterative(a, *extremes(a), method="qdwh").w
+        w8 = polar_iterative(a, *extremes(a), method="zolo").w
         assert norm_fro(w1 - w8) <= 1e3 * U_ROUNDOFF
 
     @pytest.mark.parametrize("method", ["qdwh", "zolo"])
-    def test_given_sigmas_match_estimate_path(self, method):
-        a = conditioned(20, 15, 10.0, seed=9)
-        w_est = polar_iterative(a, method=method).w
-        w_sig = polar_iterative(a, method=method, sigmas=singular_values(a)).w
-        assert norm_fro(w_sig - w_est) <= 1e3 * U_ROUNDOFF
-
-    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
-    @pytest.mark.parametrize(
-        "kappa,shape,seed",
-        [(1e4, (40, 30), 11), (1e4, (25, 20), 3), (1e8, (25, 20), 3), (1e8, (25, 20), 4)],
-    )
+    @pytest.mark.parametrize("kappa,shape,seed", CONDITIONED_CASES)
     def test_given_sigmas_residual_contract(self, method, kappa, shape, seed):
         # The conditioned inputs above, started from the exact sigma_min:
-        # the same residual and orthogonality bounds, in no more rounds.
-        m, n = shape
-        a = conditioned(m, n, kappa, seed)
-        sigmas = singular_values(a)
-        pf = polar_iterative(a, method=method, sigmas=sigmas)
-        bound = 50 * n * U_ROUNDOFF
-        assert norm_fro(pf.w @ pf.h - a) / norm_fro(a) <= bound
-        assert norm_fro(pf.w.conj().T @ pf.w - np.eye(n)) <= bound
-        assert norm_fro(pf.h - pf.h.conj().T) == 0.0
-        assert np.min(np.linalg.eigvalsh(pf.h)) >= -50 * n * U_ROUNDOFF
-        assert pf.sigma_min_estimate == pytest.approx(sigmas[-1], rel=4 * U_ROUNDOFF)
-        assert pf.iterations <= polar_iterative(a, method=method).iterations
+        # the same residual and orthogonality bounds, in no more rounds than
+        # from the floor bound below.
+        a = conditioned(*shape, kappa, seed)
+        smax, smin = extremes(a)
+        pf = polar_iterative(a, smax, smin, method=method)
+        assert_residual_contract(a, pf)
+        assert pf.sigma_min_estimate == smin
+        floor = polar_iterative(a, smax, 1e-15 * smax, method=method)
+        assert pf.iterations <= floor.iterations
+
+    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
+    @pytest.mark.parametrize("kappa,shape,seed", CONDITIONED_CASES)
+    def test_floor_bound_residual_contract(self, method, kappa, shape, seed):
+        # A spectral split knows no sigma_min and passes 1e-15 * smax, far
+        # below the true one: the same bounds, within the six-round cap.
+        a = conditioned(*shape, kappa, seed)
+        smax, _ = extremes(a)
+        pf = polar_iterative(a, smax, 1e-15 * smax, method=method)
+        assert_residual_contract(a, pf)
+        assert pf.iterations <= 6
 
     def test_singular_input_signals(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ConvergenceError):
-            polar_iterative(a)
+            polar_iterative(a, 1.0, 0.0)
+
+    def test_zero_input_signals(self):
+        with pytest.raises(ConvergenceError):
+            polar_iterative(np.zeros((3, 2), dtype=complex), 0.0, 0.0)
 
     def test_wide_rejected(self):
         with pytest.raises(DimensionError):
-            polar_iterative(np.ones((2, 3), dtype=complex))
+            polar_iterative(np.ones((2, 3), dtype=complex), 1.0, 1.0)
 
 
 class TestPolarModified:
     def test_well_conditioned_matches_iterative(self):
         q = gen_haar_stiefel(8, 2, seed=21)
         a = (q * np.array([1.0, 0.9])) @ gen_haar_stiefel(2, 2, seed=22).conj().T
-        ref = polar_iterative(a, method="zolo")
-        pf = polar_modified(a)
+        smax, smin = extremes(a)
+        ref = polar_iterative(a, smax, smin, method="zolo")
+        pf = polar_modified(a, smax=smax)
         assert pf.mode == "interval_modified"
         assert norm_fro(pf.h - ref.h) <= 1e2 * U_ROUNDOFF
 
     def test_exact_zero_singular_value(self):
         a = np.diag([1.0, 0.0]).astype(complex)
-        pf = polar_modified(a)
+        pf = polar_modified(a, smax=1.0)
         ev = np.sort(np.linalg.eigvalsh(pf.h))
         assert abs(ev[0]) <= 1e2 * U_ROUNDOFF
         assert abs(ev[1] - 1.0) <= 1e2 * U_ROUNDOFF
 
     def test_tiny_singular_value_stays_below(self):
         a = np.diag([1.0, 1e-18]).astype(complex)
-        pf = polar_modified(a)
+        pf = polar_modified(a, smax=1.0)
         ev = np.sort(np.linalg.eigvalsh(pf.h))[::-1]
         assert abs(ev[0] - 1.0) <= 1e2 * U_ROUNDOFF
         assert -1e2 * U_ROUNDOFF <= ev[1] <= 1e-18 + 1e2 * U_ROUNDOFF
@@ -162,7 +191,7 @@ class TestPolarModified:
         a = (gen_haar_stiefel(2 * n, n, seed=31) * sigma) @ gen_haar_stiefel(
             n, n, seed=32
         ).conj().T
-        pf = polar_modified(a)
+        pf = polar_modified(a, smax=extremes(a)[0])
         href = polar_svd(a).h
         assert norm_fro(pf.h - href) <= 1e3 * U_ROUNDOFF
         assert norm_fro(pf.w @ pf.h - a) <= 1e3 * U_ROUNDOFF
@@ -178,7 +207,7 @@ class TestPolarModified:
         d = np.array([1.0, 0.3, 1e-3, 1e-12, 1e-16])
         a = np.diag(d).astype(complex)
         params = SignApproxParams(p=MODIFIED_DEFAULT_ORDER, ell=1e-15, iterations=2)
-        pf = polar_modified(a, 1e-15)
+        pf = polar_modified(a, 1e-15, smax=1.0)
         predicted = d * eval_sign_approx(d, params)
         np.testing.assert_allclose(
             np.real(np.diagonal(pf.h)), predicted, atol=1e2 * U_ROUNDOFF

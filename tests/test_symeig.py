@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from csdk.errors import ConvergenceError
-from csdk.kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro
+from csdk.kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro, singular_values
+import csdk.symeig as symeig_module
 from csdk.polar import polar_modified
 from csdk.csd import build_B
 from csdk.symeig import (
@@ -95,6 +96,29 @@ class TestSymeigSdc:
         assert np.all(np.abs(pivots.imag) <= 1e-12)
         assert np.all(pivots.real > 0)
 
+    def test_no_split_fails_on_criterion_6_inputs(self, monkeypatch):
+        # Every split's polar iteration starts from the 1e-15 floor on
+        # sigma_min / sigma_max; on criterion 6's random Hermitian matrices
+        # it must still converge within its six rounds at every shift.
+        failures = []
+
+        def recorded(b, s, diagnostics=None):
+            try:
+                return split(b, s, diagnostics)
+            except ConvergenceError as exc:
+                failures.append((b.shape[0], s, str(exc)))
+                raise
+
+        split = symeig_module.spectral_split
+        monkeypatch.setattr(symeig_module, "spectral_split", recorded)
+        sizes = [5, 10, 20, 35, 50, 64, 80, 100]
+        for seed in range(50):
+            rng = np.random.default_rng(1000 + seed)
+            n = sizes[seed % len(sizes)]
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            symeig_sdc(hermitian_part(g))
+        assert failures == []
+
 
 class TestSymeigDirect:
     def test_scalar(self):
@@ -140,8 +164,8 @@ class TestSymeigInterval:
         n = 20
         r = nint(3 * n / 4)
         a = gen_rank_deficient_haar(n, seed=6)
-        h1 = polar_modified(a[:n]).h
-        h2 = polar_modified(a[n:]).h
+        h1 = polar_modified(a[:n], smax=singular_values(a[:n])[0]).h
+        h2 = polar_modified(a[n:], smax=singular_values(a[n:])[0]).h
         b = build_B(h1, h2, a, 2.0)
         v, lam = symeig_interval(b, -1.0, 1.0)
         assert lam.shape[0] == r
