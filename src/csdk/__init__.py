@@ -6,7 +6,11 @@ The top level holds the user API.  The supporting factorization stack
 (rational sign-function polar iterations, spectral divide-and-conquer
 eigensolver) and the seeded benchmark generators are imported from their
 submodules: `csdk.polar`, `csdk.symeig`, `csdk.kernel`, `csdk.testgen`.
+Fallbacks to the SVD polar route are logged as warnings on the "csdk"
+logger, which stays quiet until the application configures logging.
 """
+
+import logging
 
 from .csd import CsdOptions, CsdResult, csd, csd_2x2
 from .errors import (
@@ -19,6 +23,8 @@ from .errors import (
     PreconditionError,
 )
 from .isometry import StabilityReport, dist_to_partial_isometry, stability_report
+
+logging.getLogger("csdk").addHandler(logging.NullHandler())
 
 __version__ = "0.1.0"
 

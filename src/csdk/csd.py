@@ -35,7 +35,8 @@ convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,6 +62,8 @@ from .symeig import symeig_direct
 from .isometry import dist_to_partial_isometry  # noqa: F401
 from .kernel import svd_factor  # noqa: F401
 from .symeig import symeig_interval, symeig_sdc  # noqa: F401
+
+_log = logging.getLogger("csdk")
 
 # Inputs farther than this from any partial isometry are refused: the
 # backward-error guarantees are asymptotic in that distance.
@@ -181,7 +184,7 @@ def polar_via_qr_fix(
     ai: np.ndarray,
     epsilon: float = 1e-15,
     *,
-    sigmas: np.ndarray,
+    smax: float,
 ) -> tuple[PolarFactors, float]:
     """Orthonormal polar factor for an ill-conditioned block.
 
@@ -190,20 +193,11 @@ def polar_via_qr_fix(
     H = Q_H R_H.  Under the nonnegative-diagonal convention those two
     R-factors agree up to O(u) exactly when the swap is legitimate; their
     relative difference is returned as r_agreement, and if it exceeds
-    1e3*n*u the routine falls back to the SVD route.  Refuses blocks that
-    are not ill conditioned: the gate sits at the rank-deficient danger
-    threshold so that noisy near-singular blocks (smallest singular value
-    at the noise floor rather than below epsilon) still qualify.  sigmas
-    are A_i's singular values, nonincreasing.
+    1e3*n*u the routine falls back to the SVD route.  Which blocks come
+    here is decided by the caller alone (`_polar_for_block`).  smax is
+    A_i's largest singular value, which must be positive.
     """
     ai = np.asarray(ai, dtype=np.complex128)
-    smax = float(sigmas[0]) if sigmas.size else 0.0
-    smin = float(sigmas[-1]) if sigmas.size else 0.0
-    gate = max(epsilon, _RANK_DEFICIENT_FIX_THRESHOLD)
-    if smax == 0.0 or smin / smax >= gate:
-        raise PreconditionError(
-            "block is not ill conditioned; use the standard polar route"
-        )
     modified = polar_modified(ai, epsilon, smax=smax)
     qa = qr_factor(ai)
     qh = qr_factor(modified.h)
@@ -211,12 +205,13 @@ def polar_via_qr_fix(
     r_agreement = norm_fro(qh.r - qa.r) / denom
     n = ai.shape[1]
     if r_agreement > _R_AGREEMENT_FACTOR * n * U_ROUNDOFF:
+        _log.warning(
+            "QR fix falls back to the SVD polar: R-factor agreement %.3e "
+            "exceeds %.0e*n*u", r_agreement, _R_AGREEMENT_FACTOR,
+        )
         return polar_svd(ai), r_agreement
     w = qa.q @ qh.q.conj().T
-    fixed = PolarFactors(
-        w, modified.h, "exact", modified.method, smin, modified.iterations
-    )
-    return fixed, r_agreement
+    return replace(modified, w=w), r_agreement
 
 
 def _polar_for_block(
@@ -226,7 +221,8 @@ def _polar_for_block(
     taken.  The svd route reads no singular values; the others read the
     block's, one values-only SVD, against the thresholds `csd` documents,
     and hand the largest (and, at full rank, the smallest) to the polar
-    routine; the QR-fix route takes them all.
+    routine.  This is the only place that decides which blocks take the QR
+    fix.
     """
     if opts.polar_method == "svd":
         return polar_svd(block), False
@@ -242,15 +238,16 @@ def _polar_for_block(
         active_min = float(sigmas[rank - 1]) if rank >= 1 else 0.0
         ill = active_min < max(opts.epsilon, _RANK_DEFICIENT_FIX_THRESHOLD)
     if ill:
-        fixed, _ = polar_via_qr_fix(block, opts.epsilon, sigmas=sigmas)
+        fixed, _ = polar_via_qr_fix(block, opts.epsilon, smax=smax)
         return fixed, True
     if not full_rank:
         return polar_modified(block, opts.epsilon, smax=smax), False
     try:
         return polar_iterative(block, smax, smin, method=opts.polar_method), False
-    except ConvergenceError:
+    except ConvergenceError as exc:
         # The iteration did not reach an orthonormal factor; the SVD route
         # is unconditionally stable.
+        _log.warning("%s polar falls back to the SVD polar: %s", opts.polar_method, exc)
         return polar_svd(block), False
 
 

@@ -7,16 +7,20 @@ family (two rounds, order picked from the interval edge).  The iterative
 routines compute no spectral facts themselves: the caller supplies the
 largest singular value, which scales the input, and `polar_iterative`
 also takes the smallest one (or a lower bound on it), which sets the
-interval edge.  `polar_modified` runs the same machinery on the fixed
-interval [epsilon, 1] instead of [sigma_min, 1]; its W factor is
-deliberately not orthonormal when A has singular values below epsilon
-(they are mapped into [0, 1] rather than to 1), which is exactly what the
-rank-deficient decomposition downstream needs.  `canonical_polar` is the
-truncated-SVD construction whose W factor is a partial isometry.
+interval edge.  From that edge the whole run is fixed before the first
+matrix round: a schedule, the tuple of per-round factors that both the
+matrix iteration and its scalar shadow `eval_sign_approx` apply.
+`polar_modified` runs the same machinery on the fixed interval
+[epsilon, 1] instead of [sigma_min, 1]; its W factor is deliberately not
+orthonormal when A has singular values below epsilon (they are mapped
+into [0, 1] rather than to 1), which is exactly what the rank-deficient
+decomposition downstream needs.  `canonical_polar` is the truncated-SVD
+construction whose W factor is a partial isometry.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,11 +34,7 @@ from .kernel import (
     norm_fro,
     svd_factor,
 )
-from .zolotarev import (
-    SignIterationFactors,
-    choose_order,
-    sign_iteration_factors,
-)
+from .zolotarev import MAX_ORDER, SignIterationFactors, sign_iteration_factors
 
 # Not called here, but perfbench/layers.py looks these names up in this module.
 from .kernel import cholesky_factor, qr_factor  # noqa: F401
@@ -43,31 +43,31 @@ from .kernel import cholesky_factor, qr_factor  # noqa: F401
 # conditioned to solve with directly; use the stacked-QR form of the update.
 _QR_SWITCH_ELL = 0.1
 
-_QDWH_MAX_ITERATIONS = 6
-_DELTA_TOL = (5.0 * U_ROUNDOFF) ** (1.0 / 3.0)
+# Cap on the Halley rounds of one qdwh schedule.
+_QDWH_MAX_ROUNDS = 6
+
+# A schedule is long enough once the scalar image of its interval edge
+# lies this close to 1.
+_FLAT_TOL = 5.0 * U_ROUNDOFF
 
 # Order used by the fixed-interval variant; two rounds of this flatten
 # [1e-15, 1] to within roundoff of 1.
 MODIFIED_DEFAULT_ORDER = 8
+
+Schedule = tuple[SignIterationFactors, ...]
 
 
 @dataclass(frozen=True)
 class PolarFactors:
     """Factors A ~= W H with H Hermitian positive semidefinite.
 
-    mode is "exact" when W has orthonormal columns to working precision and
-    "interval_modified" when W only has singular values in [0, 1 + O(u)].
-    sigma_min_estimate is the smin the caller supplied to `polar_iterative`
-    (sigma_min or a lower bound on it), sigma_min itself on the SVD route,
-    and the interval edge epsilon on the fixed-interval variant; iterations
-    is the number of rounds performed.
+    method is the route taken and iterations the number of matrix rounds
+    (0 on the SVD route).
     """
 
     w: np.ndarray
     h: np.ndarray
-    mode: str
     method: str
-    sigma_min_estimate: float
     iterations: int = 0
 
 
@@ -84,49 +84,82 @@ def polar_svd(a: np.ndarray) -> PolarFactors:
     f = svd_factor(a)
     w = f.p @ f.q.conj().T
     h = hermitian_part((f.q * f.sigma) @ f.q.conj().T)
-    smin = float(f.sigma[-1]) if f.sigma.size else 0.0
-    return PolarFactors(w, h, "exact", "svd", smin)
+    return PolarFactors(w, h, "svd")
 
 
-def _apply_sign_iteration(
-    x: np.ndarray, fac: SignIterationFactors, *, use_qr: bool, hermitian: bool
-) -> np.ndarray:
-    """One matrix round x -> (x + sum_j a_j x (x*x + q_j I)^-1) / normalizer."""
+def _rounds(ell: float, p: int):
+    """Endless rounds of the order-p map from interval edge ell, each
+    factor built once, with ell advanced through its images."""
+    while True:
+        fac = sign_iteration_factors(ell, p)
+        yield fac
+        ell = min(fac.ell_next, 1.0)
+
+
+def _flat(fac: SignIterationFactors) -> bool:
+    return abs(1.0 - fac.ell_next) <= _FLAT_TOL
+
+
+def sign_schedule(ell: float, p: int, rounds: int) -> Schedule:
+    """The first `rounds` rounds of the order-p map for interval edge ell."""
+    if not 1 <= p <= MAX_ORDER:
+        raise ValueError(f"order p must lie in [1, {MAX_ORDER}], got {p}")
+    if not 0.0 < ell <= 1.0:
+        raise ValueError(f"ell must lie in (0, 1], got {ell}")
+    if rounds < 1:
+        raise ValueError(f"rounds must be >= 1, got {rounds}")
+    return tuple(itertools.islice(_rounds(ell, p), rounds))
+
+
+def qdwh_schedule(ell: float) -> Schedule:
+    """The fewest Halley (p = 1) rounds that flatten [ell, 1]; raises
+    ConvergenceError, before any matrix work, if that takes more than six."""
+    schedule = []
+    for fac in _rounds(ell, 1):
+        schedule.append(fac)
+        if _flat(fac):
+            return tuple(schedule)
+        if len(schedule) == _QDWH_MAX_ROUNDS:
+            raise ConvergenceError(
+                f"Halley iteration needs more than {_QDWH_MAX_ROUNDS} "
+                f"rounds from interval edge {ell:.3e}"
+            )
+
+
+def zolo_schedule(ell: float) -> Schedule:
+    """Two rounds of the smallest order p that flattens [ell, 1] (at most
+    MAX_ORDER), as built while searching for p."""
+    for p in range(1, MAX_ORDER + 1):
+        schedule = sign_schedule(ell, p, 2)
+        if _flat(schedule[-1]):
+            break
+    return schedule
+
+
+def _apply_schedule(x: np.ndarray, schedule: Schedule, *, hermitian: bool) -> np.ndarray:
+    """Matrix rounds x -> (x + sum_j a_j x (x*x + q_j I)^-1) / normalizer,
+    one per factor of the schedule."""
     m, n = x.shape
     eye = np.eye(n, dtype=np.complex128)
-    # Above the switch every shifted Gram matrix has condition number at
-    # most 1 + 1/pole, so a plain LU solve is stable; X*X is shared.
-    gram = None if use_qr else hermitian_part(x.conj().T @ x)
-    acc = x.copy()
-    for a_j, pole in zip(fac.residues, fac.poles):
-        if use_qr:
-            root = math.sqrt(pole)
-            stacked = np.vstack([x, root * eye])
-            q, _ = np.linalg.qr(stacked)
-            term = (q[:m] @ q[m:].conj().T) / root
-        else:
-            term = np.linalg.solve(gram + pole * eye, x.conj().T).conj().T
-        acc += a_j * term
-    out = acc / fac.normalizer
-    if hermitian:
-        out = hermitian_part(out)
-    return out
-
-
-def _two_rounds(x: np.ndarray, ell: float, p: int, *, hermitian: bool) -> np.ndarray:
-    """Two rounds of the order-p map, the first tuned to the interval [ell, 1]."""
-    for _ in range(2):
-        fac = sign_iteration_factors(ell, p)
-        x = _apply_sign_iteration(
-            x, fac, use_qr=ell < _QR_SWITCH_ELL, hermitian=hermitian
-        )
-        ell = min(fac.ell_next, 1.0)
+    for fac in schedule:
+        use_qr = fac.ell < _QR_SWITCH_ELL
+        # Above the switch every shifted Gram matrix has condition number at
+        # most 1 + 1/pole, so a plain LU solve is stable; X*X is shared.
+        gram = None if use_qr else hermitian_part(x.conj().T @ x)
+        acc = x.copy()
+        for a_j, pole in zip(fac.residues, fac.poles):
+            if use_qr:
+                root = math.sqrt(pole)
+                stacked = np.vstack([x, root * eye])
+                q, _ = np.linalg.qr(stacked)
+                term = (q[:m] @ q[m:].conj().T) / root
+            else:
+                term = np.linalg.solve(gram + pole * eye, x.conj().T).conj().T
+            acc += a_j * term
+        x = acc / fac.normalizer
+        if hermitian:
+            x = hermitian_part(x)
     return x
-
-
-def _orthonormality_defect(w: np.ndarray) -> float:
-    n = w.shape[1]
-    return norm_fro(w.conj().T @ w - np.eye(n))
 
 
 def polar_iterative(
@@ -139,14 +172,15 @@ def polar_iterative(
 ) -> PolarFactors:
     """Polar decomposition by the rational sign iteration.
 
-    method "qdwh" runs the p = 1 map adaptively (at most six rounds, error
-    if unconverged); method "zolo" runs exactly two rounds with p chosen
-    from the interval edge.  smax is A's largest singular value or an upper
-    bound on it, and scales the input; smin is A's smallest singular value
-    or a lower bound on it.  The interval edge is 0.9 * smin / smax: an
-    underestimate only costs rounds, an overestimate can cost accuracy.
-    Raises ConvergenceError when the iteration cannot reach an orthonormal
-    factor, which callers treat as an ill-conditioning signal.
+    method "qdwh" runs the fewest p = 1 rounds that flatten the interval
+    (at most six, error otherwise); method "zolo" runs two rounds of the
+    smallest order p that does.  smax is A's largest singular value or an
+    upper bound on it, and scales the input; smin is A's smallest singular
+    value or a lower bound on it.  The interval edge is 0.9 * smin / smax:
+    an underestimate only costs rounds, an overestimate can cost accuracy,
+    which the final orthonormality check catches.  Raises ConvergenceError
+    when the iteration cannot reach an orthonormal factor, which callers
+    treat as an ill-conditioning signal.
     """
     if method not in ("qdwh", "zolo"):
         raise ValueError(f"unknown iterative polar method {method!r}")
@@ -154,52 +188,18 @@ def polar_iterative(
     n = a.shape[1]
     if smax == 0.0:
         raise ConvergenceError("zero matrix has no unitary polar factor")
-    x = a / smax
-    smin_scaled = smin / smax
-    ell = min(0.9 * smin_scaled, 1.0)
+    ell = min(0.9 * (smin / smax), 1.0)
     if ell <= 0.0:
         raise ConvergenceError("matrix is singular to working precision")
-
-    orth_tol = 10.0 * DEFAULT_TOL_FACTOR * n * U_ROUNDOFF
-    if method == "qdwh":
-        iterations = 0
-        converged = False
-        for _ in range(_QDWH_MAX_ITERATIONS):
-            fac = sign_iteration_factors(ell, 1)
-            x_new = _apply_sign_iteration(
-                x, fac, use_qr=ell < _QR_SWITCH_ELL, hermitian=hermitian
-            )
-            delta = norm_fro(x_new - x)
-            scale = norm_fro(x_new)
-            x = x_new
-            ell = fac.ell_next
-            iterations += 1
-            # The cube-root test on the step size certifies the next lag only
-            # once the weights are asymptotic (ell ~ 1); before that, accept
-            # only a step at roundoff level (an exact fixed point).
-            asymptotic = 1.0 - ell <= 10.0 * U_ROUNDOFF
-            at_roundoff = delta <= 10.0 * U_ROUNDOFF * scale
-            if delta <= _DELTA_TOL * scale and (asymptotic or at_roundoff):
-                converged = True
-                break
-            ell = min(ell, 1.0)
-        if not converged:
-            raise ConvergenceError(
-                f"Halley iteration did not converge in {_QDWH_MAX_ITERATIONS} "
-                f"rounds (sigma_min / sigma_max {smin_scaled:.3e})"
-            )
-    else:
-        x = _two_rounds(x, ell, choose_order(ell), hermitian=hermitian)
-        iterations = 2
-
-    if _orthonormality_defect(x) > orth_tol:
+    schedule = qdwh_schedule(ell) if method == "qdwh" else zolo_schedule(ell)
+    w = _apply_schedule(a / smax, schedule, hermitian=hermitian)
+    if norm_fro(w.conj().T @ w - np.eye(n)) > 10.0 * DEFAULT_TOL_FACTOR * n * U_ROUNDOFF:
         raise ConvergenceError(
             "iterated factor is not orthonormal to working precision; "
             "input is likely ill conditioned beyond the interval estimate"
         )
-    w = x
     h = hermitian_part(w.conj().T @ a)
-    return PolarFactors(w, h, "exact", method, float(smin), iterations)
+    return PolarFactors(w, h, method, len(schedule))
 
 
 def polar_modified(
@@ -217,9 +217,10 @@ def polar_modified(
     still matches the true Hermitian factor to O(u).
     """
     a = _require_tall(a)
-    w = _two_rounds(a / smax, epsilon, MODIFIED_DEFAULT_ORDER, hermitian=False)
+    schedule = sign_schedule(epsilon, MODIFIED_DEFAULT_ORDER, 2)
+    w = _apply_schedule(a / smax, schedule, hermitian=False)
     h = hermitian_part(w.conj().T @ a)
-    return PolarFactors(w, h, "interval_modified", "zolo", epsilon, 2)
+    return PolarFactors(w, h, "zolo", len(schedule))
 
 
 def canonical_polar(a: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -32,11 +32,12 @@ from .polar import polar_iterative
 _DIRECT_BLOCK = 4
 
 # Lower bound on sigma_min / sigma_max handed to the polar iteration of a
-# split, which knows no singular values of B - s*I.  Its scalar shadow,
-# sign_iteration_factors(ell, 1), takes ell from 0.9e-15 (and from as low
-# as 1e-17) to 1 in 6 Halley rounds, the iteration's cap, so no estimate
-# is needed; a shift closer than this to an eigenvalue surfaces as
-# ConvergenceError.
+# split, which knows no singular values of B - s*I.  The qdwh schedule
+# built from it, fixed before any matrix round, takes ell from 0.9e-15
+# (and from as low as 1e-17) to 1 in 6 Halley rounds, the iteration's cap,
+# so no estimate is needed.  A shift closer than this to an eigenvalue
+# leaves that singular value short of 1 after the schedule, and surfaces
+# as ConvergenceError from the final orthonormality check.
 _ELL_FLOOR = 1e-15
 
 

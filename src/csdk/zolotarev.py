@@ -14,8 +14,8 @@ weighted Halley map, for which closed-form weights are used instead of
 elliptic coefficients.
 
 Matrix iterations apply f through its partial-fraction form (one QR or
-Cholesky factorization per term); `eval_sign_approx` is the exact scalar
-shadow of that map.
+linear solve per term); `eval_sign_approx` is the exact scalar shadow of a
+schedule of such rounds.
 """
 
 from __future__ import annotations
@@ -26,37 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import complete_k_from_complement, jacobi_sn_imag
-from .kernel import U_ROUNDOFF
 
 MAX_ORDER = 8
-
-# Target for the composed scalar map when picking p from a condition
-# estimate: the smallest p whose two-round map is this close to 1 at the
-# lower interval endpoint wins.
-_CHOOSE_TOL = 5.0 * U_ROUNDOFF
-
-
-@dataclass(frozen=True)
-class SignApproxParams:
-    """Parameters of a composed sign-function approximation.
-
-    p is the per-iteration order (1 gives the Halley/QDWH family), ell the
-    lower endpoint of the singular interval after scaling, iterations the
-    number of composed rounds (2 for the high-order family, up to 6 for
-    p = 1).
-    """
-
-    p: int
-    ell: float
-    iterations: int = 2
-
-    def __post_init__(self):
-        if not 1 <= self.p <= MAX_ORDER:
-            raise ValueError(f"order p must lie in [1, {MAX_ORDER}], got {self.p}")
-        if not 0.0 < self.ell <= 1.0:
-            raise ValueError(f"ell must lie in (0, 1], got {self.ell}")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -144,33 +115,14 @@ def sign_iteration_factors(ell: float, p: int) -> SignIterationFactors:
     return SignIterationFactors(poles, zeros, residues, normalizer, ell, ell_next)
 
 
-def iteration_schedule(params: SignApproxParams) -> list[SignIterationFactors]:
-    """Factors for each round, with ell advanced through its images."""
-    ell = params.ell
-    out = []
-    for _ in range(params.iterations):
-        fac = sign_iteration_factors(ell, params.p)
-        out.append(fac)
-        ell = min(fac.ell_next, 1.0)
-    return out
-
-
-def eval_sign_approx(x, params: SignApproxParams):
-    """Scalar shadow of the composed matrix map; accepts scalars or arrays."""
+def eval_sign_approx(x, schedule):
+    """Scalar shadow of the matrix rounds of a schedule (a sequence of
+    SignIterationFactors); accepts scalars or arrays."""
     xs = np.asarray(x, dtype=float)
     scalar = xs.ndim == 0
     out = xs.reshape(-1).copy()
-    for fac in iteration_schedule(params):
+    for fac in schedule:
         out = _product_map(out, fac.poles, fac.zeros, fac.normalizer)
     if scalar:
         return float(out[0])
     return out.reshape(xs.shape)
-
-
-def choose_order(ell: float) -> int:
-    """Smallest p whose two-round map pulls ell to within tolerance of 1."""
-    for p in range(1, MAX_ORDER + 1):
-        err = abs(1.0 - eval_sign_approx(ell, SignApproxParams(p, ell, 2)))
-        if err <= _CHOOSE_TOL:
-            return p
-    return MAX_ORDER

@@ -3,6 +3,7 @@ post-processing, the structural invariants, and the factorizations each
 route runs."""
 
 import importlib
+import logging
 import os
 import subprocess
 import sys
@@ -24,8 +25,13 @@ from csdk.csd import (
     polar_via_qr_fix,
     postprocess_trig,
 )
-from csdk.errors import DimensionError, NotNearIsometryError, PreconditionError
-from csdk.isometry import assemble_blocks, stability_report
+from csdk.errors import (
+    ConvergenceError,
+    DimensionError,
+    NotNearIsometryError,
+    PreconditionError,
+)
+from csdk.isometry import assemble_blocks, dist_to_partial_isometry, stability_report
 from csdk.kernel import U_ROUNDOFF, norm_2, norm_fro
 from csdk.polar import polar_svd
 from csdk.symeig import symeig_direct
@@ -39,6 +45,8 @@ from csdk.testgen import (
 )
 
 U = U_ROUNDOFF
+# The package attribute csdk.csd is the function; this is the module.
+csdk_csd = importlib.import_module("csdk.csd")
 
 
 def clustered_three_angle_stack():
@@ -138,6 +146,20 @@ class TestCsdDispatch:
         rep = stability_report(a, res)
         assert rep.residual_2norm <= 50 * n * U
 
+    def test_convergence_failure_falls_back_loudly(self, monkeypatch, caplog):
+        # A block whose iteration fails goes to the SVD polar, and the
+        # switch is logged with its reason.
+        def fail(*args, **kwargs):
+            raise ConvergenceError("forced")
+
+        monkeypatch.setattr(csdk_csd, "polar_iterative", fail)
+        n = 6
+        a = gen_haar_stiefel(2 * n, n, seed=3)
+        with caplog.at_level(logging.WARNING, logger="csdk"):
+            res = csd(a, n, CsdOptions(polar_method="qdwh"))
+        assert stability_report(a, res).residual_2norm <= 50 * n * U
+        assert caplog.text.count("falls back to the SVD polar: forced") == 2
+
     def test_options_validation(self):
         with pytest.raises(ValueError):
             CsdOptions(polar_method="cayley")
@@ -145,6 +167,34 @@ class TestCsdDispatch:
             CsdOptions(epsilon=0.0)
         with pytest.raises(ValueError):
             CsdOptions(epsilon=1e-7)
+
+
+class TestNoiseScaleSweep:
+    @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
+    @pytest.mark.parametrize("class_id", [1, 2, 3, 4])
+    def test_inside_the_gate_meets_the_bounds(self, class_id, method):
+        # Spectral-norm noise and uniform scaling move each testgen class
+        # off the partial isometries; every input inside the gate must meet
+        # the residual and orthogonality bounds, and every other is refused.
+        n = 16
+        clean = generate(TestCase(class_id, False, n, 1))
+        rng = np.random.default_rng(class_id)
+        failures, inside = [], 0
+        for noise in (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 5e-2):
+            g = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+            for scale in (0.95, 1.0, 1.05, 1.09):
+                a = scale * clean + noise * g / norm_2(g)
+                if dist_to_partial_isometry(a) > 0.1:
+                    with pytest.raises(NotNearIsometryError):
+                        csd(a, n, CsdOptions(polar_method=method))
+                    continue
+                inside += 1
+                rep = stability_report(a, csd(a, n, CsdOptions(polar_method=method)))
+                orth = max(rep.orth_u1, rep.orth_u2, rep.orth_v1)
+                if rep.residual_2norm > max(50 * n * U, 10 * rep.d_of_a) or orth > 50 * n:
+                    failures.append((noise, scale, rep.scaled_residual, orth))
+        assert inside == 23  # scale 1.09 with noise 5e-2 lies outside
+        assert not failures
 
 
 class TestBuildB:
@@ -260,15 +310,10 @@ class TestCsFromLambda:
 class TestPolarViaQrFix:
     def test_tiny_singular_value(self):
         a = np.diag([1.0, 1e-16]).astype(complex)
-        pf, r_agree = polar_via_qr_fix(a, sigmas=np.array([1.0, 1e-16]))
-        assert pf.mode == "exact"
+        pf, r_agree = polar_via_qr_fix(a, smax=1.0)
         np.testing.assert_allclose(np.abs(np.diagonal(pf.w)), [1.0, 1.0], atol=1e2 * U)
         assert norm_fro(pf.w - np.eye(2)) <= 1e2 * U
         assert r_agree <= 1e2 * U
-
-    def test_well_conditioned_precondition_error(self):
-        with pytest.raises(PreconditionError):
-            polar_via_qr_fix(np.eye(3, dtype=complex), sigmas=np.ones(3))
 
     def test_clustered_block_residual(self):
         # Seed 7 yields sigma_min/sigma_max ~ 2e-16 in the bottom block.
@@ -277,9 +322,50 @@ class TestPolarViaQrFix:
         a2 = a[n:]
         sig = np.linalg.svd(a2, compute_uv=False)
         assert sig[-1] / sig[0] < 1e-7
-        pf, _ = polar_via_qr_fix(a2, sigmas=sig)
+        pf, _ = polar_via_qr_fix(a2, smax=sig[0])
         assert norm_fro(pf.w @ pf.h - a2) <= 50 * n * U
         assert norm_fro(pf.w.conj().T @ pf.w - np.eye(n)) <= 50 * n * U
+
+    def test_rejected_agreement_falls_back_loudly(self, monkeypatch, caplog):
+        # An R-factor agreement above the bound switches to the SVD polar,
+        # and the switch is logged with its reason.
+        monkeypatch.setattr(csdk_csd, "_R_AGREEMENT_FACTOR", -1.0)
+        a = np.diag([1.0, 1e-16]).astype(complex)
+        with caplog.at_level(logging.WARNING, logger="csdk"):
+            pf, _ = polar_via_qr_fix(a, smax=1.0)
+        assert pf.method == "svd"
+        assert "R-factor agreement" in caplog.text
+
+
+def _qr_fix_repros():
+    """Inputs inside the gate whose blocks take the QR fix although their
+    sigma_min / sigma_max is far above 1e-7."""
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
+    cases = [pytest.param(0.05 * g / norm_2(g), id="rank0")]
+    n, r = 8, 6
+    theta = np.pi / 2 - np.geomspace(1e-9, 1e-8, r)
+    c = np.concatenate([np.cos(theta), np.zeros(n - r)])
+    s = np.concatenate([np.sin(theta), np.zeros(n - r)])
+    base = stacked(*(gen_haar_stiefel(n, n, seed=k) for k in (51, 52, 53)), c, s)
+    for noise in (1e-12, 1e-10):
+        g = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
+        cases.append(pytest.param(base + noise * g / norm_2(g), id=f"rank6+{noise:.0e}"))
+    return cases
+
+
+class TestQrFixChosenByCaller:
+    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
+    @pytest.mark.parametrize("a", _qr_fix_repros())
+    def test_small_active_sigma_decomposes(self, a, method):
+        # The rank-deficient branch sends a block to the QR fix on its
+        # absolute r-th singular value; the QR fix must not refuse it on
+        # its ratio sigma_min / sigma_max.
+        n = a.shape[1]
+        res = csd(a, n, CsdOptions(polar_method=method))
+        rep = stability_report(a, res)
+        assert rep.residual_2norm <= max(50 * n * U, 10 * rep.d_of_a)
+        assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 50 * n
 
 
 class TestRankDeficient:
@@ -620,7 +706,13 @@ class TestFactorizations:
             deficient = gen_rank_deficient_haar(n, seed=1)
             for a in (full, deficient):
                 for method in ("svd", "qdwh", "zolo"):
+                    before = tracer.counts["zolotarev.factor_calls"]
                     csd(a, n, CsdOptions(polar_method=method))
+                    # Every sign-iteration factor is built through the name
+                    # the tracer wraps, so no iterative call reads zero.
+                    if method != "svd":
+                        built = tracer.counts["zolotarev.factor_calls"] - before
+                        assert built > 0, (method, dict(tracer.counts))
             assert tracer.counts["polar.block_calls"] >= 12, dict(tracer.counts)
             """
         )

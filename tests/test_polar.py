@@ -4,6 +4,7 @@ and canonical routes."""
 import numpy as np
 import pytest
 
+import csdk.polar
 from csdk.errors import ConvergenceError, DimensionError
 from csdk.kernel import U_ROUNDOFF, norm_fro, singular_values
 from csdk.polar import (
@@ -12,9 +13,10 @@ from csdk.polar import (
     polar_iterative,
     polar_modified,
     polar_svd,
+    sign_schedule,
 )
 from csdk.testgen import gen_haar_stiefel
-from csdk.zolotarev import SignApproxParams, eval_sign_approx
+from csdk.zolotarev import eval_sign_approx
 
 
 def conditioned(m, n, kappa, seed):
@@ -74,8 +76,10 @@ class TestPolarSvd:
 
 class TestPolarIterative:
     def test_identity_is_fixed_point(self):
+        # The schedule is fixed from ell = 0.9 before any matrix round, so
+        # even an exact fixed point runs the two rounds that flatten it.
         pf = polar_iterative(np.eye(4, dtype=complex), 1.0, 1.0)
-        assert pf.iterations == 1
+        assert pf.iterations == 2
         assert norm_fro(pf.w - np.eye(4)) <= 10 * U_ROUNDOFF
 
     def test_diagonal_against_svd_oracle(self):
@@ -127,7 +131,6 @@ class TestPolarIterative:
         smax, smin = extremes(a)
         pf = polar_iterative(a, smax, smin, method=method)
         assert_residual_contract(a, pf)
-        assert pf.sigma_min_estimate == smin
         floor = polar_iterative(a, smax, 1e-15 * smax, method=method)
         assert pf.iterations <= floor.iterations
 
@@ -141,6 +144,35 @@ class TestPolarIterative:
         pf = polar_iterative(a, smax, 1e-15 * smax, method=method)
         assert_residual_contract(a, pf)
         assert pf.iterations <= 6
+
+    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
+    @pytest.mark.parametrize("kappa", [1e0, 1e4, 1e8])
+    def test_each_factor_built_once(self, monkeypatch, method, kappa):
+        # The schedule is fixed before the first matrix round: qdwh builds
+        # one p = 1 factor per round, and zolo builds two per order tried,
+        # 1..p, running the last two with no rebuild.
+        orders = []
+        build = csdk.polar.sign_iteration_factors
+
+        def counted(ell, p):
+            orders.append(p)
+            return build(ell, p)
+
+        monkeypatch.setattr(csdk.polar, "sign_iteration_factors", counted)
+        a = conditioned(25, 20, kappa, seed=3)
+        pf = polar_iterative(a, *extremes(a), method=method)
+        if method == "qdwh":
+            assert orders == [1] * pf.iterations
+        else:
+            p = max(orders)
+            assert orders == [q for q in range(1, p + 1) for _ in range(2)]
+
+    def test_unflattened_schedule_signals_before_any_round(self, monkeypatch):
+        # An interval edge that six Halley rounds cannot flatten is refused
+        # while the schedule is built, before any matrix work.
+        monkeypatch.setattr(csdk.polar, "_apply_schedule", None)
+        with pytest.raises(ConvergenceError):
+            polar_iterative(np.eye(3, dtype=complex), 1.0, 1e-60)
 
     def test_singular_input_signals(self):
         a = np.diag([1.0, 0.0]).astype(complex)
@@ -163,7 +195,6 @@ class TestPolarModified:
         smax, smin = extremes(a)
         ref = polar_iterative(a, smax, smin, method="zolo")
         pf = polar_modified(a, smax=smax)
-        assert pf.mode == "interval_modified"
         assert norm_fro(pf.h - ref.h) <= 1e2 * U_ROUNDOFF
 
     def test_exact_zero_singular_value(self):
@@ -201,14 +232,13 @@ class TestPolarModified:
 
     def test_scalar_shadow_consistency(self):
         # For diagonal input the matrix map acts entrywise, so the computed
-        # Hermitian factor must match d * r(d) from the scalar shadow of the
-        # default parameters: order MODIFIED_DEFAULT_ORDER, two rounds on
-        # [epsilon, 1].
+        # Hermitian factor must match d * r(d) from the scalar shadow of its
+        # schedule: order MODIFIED_DEFAULT_ORDER, two rounds on [epsilon, 1].
         d = np.array([1.0, 0.3, 1e-3, 1e-12, 1e-16])
         a = np.diag(d).astype(complex)
-        params = SignApproxParams(p=MODIFIED_DEFAULT_ORDER, ell=1e-15, iterations=2)
+        schedule = sign_schedule(1e-15, MODIFIED_DEFAULT_ORDER, 2)
         pf = polar_modified(a, 1e-15, smax=1.0)
-        predicted = d * eval_sign_approx(d, params)
+        predicted = d * eval_sign_approx(d, schedule)
         np.testing.assert_allclose(
             np.real(np.diagonal(pf.h)), predicted, atol=1e2 * U_ROUNDOFF
         )

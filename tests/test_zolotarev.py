@@ -1,13 +1,12 @@
 """Scalar sign-map contracts: the dense-grid bound, symmetry, image range,
-and the order chooser."""
+and the schedules the polar iteration runs."""
 
 import numpy as np
 import pytest
 
 from csdk.kernel import U_ROUNDOFF
+from csdk.polar import sign_schedule, zolo_schedule
 from csdk.zolotarev import (
-    SignApproxParams,
-    choose_order,
     eval_sign_approx,
     halley_weights,
     sign_iteration_factors,
@@ -16,35 +15,35 @@ from csdk.zolotarev import (
 
 
 def test_endpoint_maps_to_one():
-    params = SignApproxParams(p=8, ell=1e-3, iterations=2)
-    assert abs(eval_sign_approx(1.0, params) - 1.0) <= 10 * U_ROUNDOFF
+    schedule = sign_schedule(1e-3, 8, 2)
+    assert abs(eval_sign_approx(1.0, schedule) - 1.0) <= 10 * U_ROUNDOFF
 
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0])
 def test_odd_symmetry_exact(x):
-    params = SignApproxParams(p=4, ell=1e-4, iterations=2)
-    assert eval_sign_approx(-x, params) == -eval_sign_approx(x, params)
+    schedule = sign_schedule(1e-4, 4, 2)
+    assert eval_sign_approx(-x, schedule) == -eval_sign_approx(x, schedule)
 
 
 def test_dense_grid_bound():
     # The pinned contract: ell = 1e-3, p = 8, two rounds.
-    params = SignApproxParams(p=8, ell=1e-3, iterations=2)
+    schedule = sign_schedule(1e-3, 8, 2)
     xs = np.linspace(1e-3, 1.0, 10_000)
-    dev = np.max(np.abs(1.0 - eval_sign_approx(xs, params)))
+    dev = np.max(np.abs(1.0 - eval_sign_approx(xs, schedule)))
     assert dev <= 1e-15
 
 
 def test_dense_grid_bound_tiny_interval():
-    params = SignApproxParams(p=8, ell=1e-15, iterations=2)
+    schedule = sign_schedule(1e-15, 8, 2)
     xs = np.geomspace(1e-15, 1.0, 10_000)
-    dev = np.max(np.abs(1.0 - eval_sign_approx(xs, params)))
+    dev = np.max(np.abs(1.0 - eval_sign_approx(xs, schedule)))
     assert dev <= 2e-15
 
 
 def test_monotone_image_of_unit_interval():
-    params = SignApproxParams(p=8, ell=1e-15, iterations=2)
+    schedule = sign_schedule(1e-15, 8, 2)
     xs = np.linspace(0.0, 1.0, 20_001)
-    r = eval_sign_approx(xs, params)
+    r = eval_sign_approx(xs, schedule)
     assert np.all(r >= 0.0)
     assert np.all(r <= 1.0 + 10 * U_ROUNDOFF)
 
@@ -83,9 +82,9 @@ def test_equioscillation_structure():
     # and 0 (at 1).  This pins the map as the best approximant, not just
     # a flat one.
     ell, p = 0.2, 3
-    params = SignApproxParams(p, ell, 1)
+    schedule = sign_schedule(ell, p, 1)
     xs = np.linspace(ell, 1.0, 400_001)
-    e = 1.0 - eval_sign_approx(xs, params)
+    e = 1.0 - eval_sign_approx(xs, schedule)
     top = e.max()
     assert 1e-6 <= top <= 1e-3
     assert e.min() >= -5 * U_ROUNDOFF
@@ -108,27 +107,29 @@ def test_iteration_factors_track_interval():
     fac = sign_iteration_factors(0.01, 3)
     assert fac.ell == 0.01
     assert 0.01 < fac.ell_next <= 1.0
-    val = eval_sign_approx(0.01, SignApproxParams(p=3, ell=0.01, iterations=1))
+    val = eval_sign_approx(0.01, sign_schedule(0.01, 3, 1))
     assert fac.ell_next == pytest.approx(val, abs=1e-15)
 
 
-def test_choose_order_monotone_and_bounded():
-    orders = [choose_order(ell) for ell in (0.9, 0.1, 1e-4, 1e-8, 1e-12, 1e-15)]
+def test_zolo_schedule_order_monotone_and_bounded():
+    schedules = [zolo_schedule(ell) for ell in (0.9, 0.1, 1e-4, 1e-8, 1e-12, 1e-15)]
+    orders = [len(s[0].poles) for s in schedules]
     assert orders == sorted(orders)
     assert orders[0] >= 1 and orders[-1] <= 8
     # The chosen order really does flatten the interval in two rounds.
     for ell in (1e-4, 1e-8, 1e-15):
-        p = choose_order(ell)
-        err = abs(1.0 - eval_sign_approx(ell, SignApproxParams(p, ell, 2)))
+        schedule = zolo_schedule(ell)
+        assert len(schedule) == 2
+        err = abs(1.0 - eval_sign_approx(ell, schedule))
         assert err <= 10 * U_ROUNDOFF
 
 
-def test_params_validation():
+def test_schedule_validation():
     with pytest.raises(ValueError):
-        SignApproxParams(p=0, ell=0.5)
+        sign_schedule(0.5, 0, 2)
     with pytest.raises(ValueError):
-        SignApproxParams(p=9, ell=0.5)
+        sign_schedule(0.5, 9, 2)
     with pytest.raises(ValueError):
-        SignApproxParams(p=2, ell=0.0)
+        sign_schedule(0.0, 2, 2)
     with pytest.raises(ValueError):
-        SignApproxParams(p=2, ell=0.5, iterations=0)
+        sign_schedule(0.5, 2, 0)
