@@ -17,7 +17,6 @@ from .errors import (
     ConvergenceError,
     CsdkError,
     DimensionError,
-    IndefiniteMatrixError,
     MatrixFormatError,
     NotNearIsometryError,
     PreconditionError,
@@ -34,7 +33,6 @@ __all__ = [
     "ConvergenceError",
     "CsdkError",
     "DimensionError",
-    "IndefiniteMatrixError",
     "MatrixFormatError",
     "NotNearIsometryError",
     "PreconditionError",

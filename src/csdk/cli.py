@@ -36,10 +36,7 @@ _REPORT_FIELDS = (
 
 
 def _options_from_args(args) -> CsdOptions:
-    return CsdOptions(
-        polar_method=args.method,
-        epsilon=args.epsilon,
-    )
+    return CsdOptions(polar_method=args.method)
 
 
 def _emit_rows(rows: list[dict], fmt: str, out) -> None:
@@ -153,11 +150,7 @@ def _cmd_bench(args) -> int:
     if any(n < 2 for n in sizes):
         print("error: sizes must be at least 2", file=sys.stderr)
         return 1
-    try:
-        opts = _options_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    opts = _options_from_args(args)
     rows = [
         _bench_one(cid, args.noisy, n, seed, opts)
         for cid in sorted(classes)
@@ -180,7 +173,6 @@ def _add_common_options(parser) -> None:
         default="qdwh",
         help="route for the two polar decompositions",
     )
-    parser.add_argument("--epsilon", type=float, default=1e-15)
     parser.add_argument(
         "--format", choices=("table", "csv", "jsonl"), default="table"
     )

@@ -26,11 +26,12 @@ smallest sets the iteration's interval edge.  The polar routines take
 these values from the caller and compute none of their own.  The whole
 path runs on numpy's LAPACK.
 
-Ill-conditioned blocks go through the fixed-interval polar variant;
-orthonormality of the resulting W is then restored from the identity
-W = Q Q_H*, where Q and Q_H are the Q-factors of A_i and of its Hermitian
-polar factor, which share one R-factor under the nonnegative-diagonal QR
-convention.
+Ill-conditioned and rank-deficient blocks go through the fixed-interval
+polar variant, the same sign iteration as the route's plain polar run on
+[EPSILON, 1].  For ill-conditioned blocks orthonormality of the resulting
+W is then restored from the identity W = Q Q_H*, where Q and Q_H are the
+Q-factors of A_i and of its Hermitian polar factor, which share one
+R-factor under the nonnegative-diagonal QR convention.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .kernel import (
     singular_values,
 )
 from .isometry import dist_from_singular_values
-from .polar import PolarFactors, polar_iterative, polar_modified, polar_svd
+from .polar import EPSILON, PolarFactors, polar_iterative, polar_modified, polar_svd
 from .symeig import symeig_direct
 
 # Not called here, but perfbench/layers.py looks these names up in this
@@ -78,30 +79,22 @@ _R_AGREEMENT_FACTOR = 1e3
 _RANK_DEFICIENT_FIX_THRESHOLD = 1e-7
 
 
-def nint(x: float) -> int:
-    """Nearest integer, halves away from zero."""
-    return int(np.floor(x + 0.5)) if x >= 0 else -int(np.floor(-x + 0.5))
-
-
 @dataclass(frozen=True)
 class CsdOptions:
     """Knobs for the decomposition.
 
     polar_method picks the route for the two polar decompositions and
-    nothing else: every route eigendecomposes B with LAPACK's Hermitian
-    solver.  epsilon is the ill-conditioning threshold on a block's
-    smallest singular value.  The rank, and with it the branch, is read
-    off A itself; see `csd`.
+    nothing else: "qdwh" and "zolo" run that sign iteration on every
+    block, the fixed-interval variant included, and every route
+    eigendecomposes B with LAPACK's Hermitian solver.  The rank, and with
+    it the branch, is read off A itself; see `csd`.
     """
 
     polar_method: str = "qdwh"
-    epsilon: float = 1e-15
 
     def __post_init__(self):
         if self.polar_method not in ("svd", "qdwh", "zolo"):
             raise ValueError(f"unknown polar method {self.polar_method!r}")
-        if not 0.0 < self.epsilon < 1e-8:
-            raise ValueError(f"epsilon must lie in (0, 1e-8), got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -181,10 +174,7 @@ def cs_from_lambda(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def polar_via_qr_fix(
-    ai: np.ndarray,
-    epsilon: float = 1e-15,
-    *,
-    smax: float,
+    ai: np.ndarray, *, smax: float, method: str = "qdwh"
 ) -> tuple[PolarFactors, float]:
     """Orthonormal polar factor for an ill-conditioned block.
 
@@ -195,10 +185,11 @@ def polar_via_qr_fix(
     relative difference is returned as r_agreement, and if it exceeds
     1e3*n*u the routine falls back to the SVD route.  Which blocks come
     here is decided by the caller alone (`_polar_for_block`).  smax is
-    A_i's largest singular value, which must be positive.
+    A_i's largest singular value, which must be positive, and method the
+    sign iteration of the fixed-interval variant.
     """
     ai = np.asarray(ai, dtype=np.complex128)
-    modified = polar_modified(ai, epsilon, smax=smax)
+    modified = polar_modified(ai, smax=smax, method=method)
     qa = qr_factor(ai)
     qh = qr_factor(modified.h)
     denom = max(norm_fro(qa.r), np.finfo(float).tiny)
@@ -231,23 +222,24 @@ def _polar_for_block(
     if smax == 0.0:
         # A zero block: any orthonormal W with H = 0 is fine.
         return polar_svd(block), False
+    method = opts.polar_method
     full_rank = rank == block.shape[1]
     if full_rank:
-        ill = smin / smax < opts.epsilon
+        ill = smin / smax < EPSILON
     else:
         active_min = float(sigmas[rank - 1]) if rank >= 1 else 0.0
-        ill = active_min < max(opts.epsilon, _RANK_DEFICIENT_FIX_THRESHOLD)
+        ill = active_min < _RANK_DEFICIENT_FIX_THRESHOLD
     if ill:
-        fixed, _ = polar_via_qr_fix(block, opts.epsilon, smax=smax)
+        fixed, _ = polar_via_qr_fix(block, smax=smax, method=method)
         return fixed, True
     if not full_rank:
-        return polar_modified(block, opts.epsilon, smax=smax), False
+        return polar_modified(block, smax=smax, method=method), False
     try:
-        return polar_iterative(block, smax, smin, method=opts.polar_method), False
+        return polar_iterative(block, smax, smin, method=method), False
     except ConvergenceError as exc:
         # The iteration did not reach an orthonormal factor; the SVD route
         # is unconditionally stable.
-        _log.warning("%s polar falls back to the SVD polar: %s", opts.polar_method, exc)
+        _log.warning("%s polar falls back to the SVD polar: %s", method, exc)
         return polar_svd(block), False
 
 
@@ -301,8 +293,8 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     block's polar route is then chosen on its own.
 
     Full rank (r = n, mu = 0): a block whose sigma_n / sigma_1 is at least
-    epsilon runs the plain iterative polar; one below epsilon is rerouted
-    through the fixed-interval polar plus QR fix.
+    EPSILON = 1e-15 runs the plain iterative polar; one below it is
+    rerouted through the fixed-interval polar plus QR fix.
 
     Rank deficient (r < n, mu = 2): both blocks go through the
     fixed-interval polar variant.  The null space is pushed to eigenvalue
@@ -310,8 +302,7 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     smallest eigenpairs of B give V1, and U_i = W_i V1 comes out
     orthonormal because the fixed-interval map sends every active singular
     value to 1 - O(u).  The output is economical, k = r columns.  A block
-    whose r-th singular value is below max(epsilon, 1e-7) additionally
-    gets the QR fix.
+    whose r-th singular value is below 1e-7 additionally gets the QR fix.
     """
     a, rank = _gated(a, m1)
     n = a.shape[1]

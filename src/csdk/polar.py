@@ -1,21 +1,21 @@
 """Polar decomposition A = W H by three interchangeable routes.
 
 `polar_svd` is the unconditionally stable oracle.  `polar_iterative` runs
-the rational sign-function iteration: the p = 1 family (Halley steps by
-stacked QR or by shifted Gram solves, up to six rounds) or the high-order
-family (two rounds, order picked from the interval edge).  The iterative
-routines compute no spectral facts themselves: the caller supplies the
-largest singular value, which scales the input, and `polar_iterative`
-also takes the smallest one (or a lower bound on it), which sets the
-interval edge.  From that edge the whole run is fixed before the first
-matrix round: a schedule, the tuple of per-round factors that both the
-matrix iteration and its scalar shadow `eval_sign_approx` apply.
-`polar_modified` runs the same machinery on the fixed interval
-[epsilon, 1] instead of [sigma_min, 1]; its W factor is deliberately not
-orthonormal when A has singular values below epsilon (they are mapped
-into [0, 1] rather than to 1), which is exactly what the rank-deficient
-decomposition downstream needs.  `canonical_polar` is the truncated-SVD
-construction whose W factor is a partial isometry.
+the rational sign-function iteration: the p = 1 family (`qdwh`, Halley
+steps by stacked QR or by shifted Gram solves, up to six rounds) or the
+high-order family (`zolo`, two rounds, order picked from the interval
+edge).  The iterative routines compute no spectral facts themselves: the
+caller supplies the largest singular value, which scales the input, and
+`polar_iterative` also takes the smallest one (or a lower bound on it),
+which sets the interval edge.  From that edge the whole run is fixed
+before the first matrix round: a schedule, the tuple of per-round factors
+that both the matrix iteration and its scalar shadow `eval_sign_approx`
+apply.  `polar_modified` runs the same method's schedule on the fixed
+interval [EPSILON, 1] instead of [sigma_min, 1]; its W factor is
+deliberately not orthonormal when A has singular values below EPSILON
+(they are mapped into [0, 1] rather than to 1), which is exactly what the
+rank-deficient decomposition downstream needs.  `canonical_polar` is the
+truncated-SVD construction whose W factor is a partial isometry.
 """
 
 from __future__ import annotations
@@ -50,9 +50,15 @@ _QDWH_MAX_ROUNDS = 6
 # lies this close to 1.
 _FLAT_TOL = 5.0 * U_ROUNDOFF
 
-# Order used by the fixed-interval variant; two rounds of this flatten
-# [1e-15, 1] to within roundoff of 1.
-MODIFIED_DEFAULT_ORDER = 8
+# Lower edge of the fixed interval [EPSILON, 1] of `polar_modified`; `csd`
+# also reads a full-rank block as ill conditioned below sigma_min/sigma_max
+# = EPSILON.
+EPSILON = 1e-15
+
+# No schedule is built from a lower interval edge: six Halley rounds fall
+# short below about 3e-42, the order-8 coefficients lose their distinct
+# poles below about 7e-50, and the Halley weights overflow below 1.2e-77.
+_MIN_ELL = 1e-45
 
 Schedule = tuple[SignIterationFactors, ...]
 
@@ -136,6 +142,19 @@ def zolo_schedule(ell: float) -> Schedule:
     return schedule
 
 
+def _schedule(ell: float, method: str) -> Schedule:
+    """The schedule that `method` runs from interval edge ell; raises
+    ConvergenceError, before any matrix work, when ell is below _MIN_ELL."""
+    if method not in ("qdwh", "zolo"):
+        raise ValueError(f"unknown iterative polar method {method!r}")
+    if ell < _MIN_ELL:
+        raise ConvergenceError(
+            f"interval edge {ell:.3e} is below {_MIN_ELL:.0e}; no schedule "
+            "flattens it"
+        )
+    return qdwh_schedule(ell) if method == "qdwh" else zolo_schedule(ell)
+
+
 def _apply_schedule(x: np.ndarray, schedule: Schedule, *, hermitian: bool) -> np.ndarray:
     """Matrix rounds x -> (x + sum_j a_j x (x*x + q_j I)^-1) / normalizer,
     one per factor of the schedule."""
@@ -179,19 +198,15 @@ def polar_iterative(
     value or a lower bound on it.  The interval edge is 0.9 * smin / smax:
     an underestimate only costs rounds, an overestimate can cost accuracy,
     which the final orthonormality check catches.  Raises ConvergenceError
-    when the iteration cannot reach an orthonormal factor, which callers
-    treat as an ill-conditioning signal.
+    when the iteration cannot reach an orthonormal factor, or when the edge
+    is too small to build a schedule from, which callers treat as an
+    ill-conditioning signal.
     """
-    if method not in ("qdwh", "zolo"):
-        raise ValueError(f"unknown iterative polar method {method!r}")
     a = _require_tall(a)
     n = a.shape[1]
     if smax == 0.0:
         raise ConvergenceError("zero matrix has no unitary polar factor")
-    ell = min(0.9 * (smin / smax), 1.0)
-    if ell <= 0.0:
-        raise ConvergenceError("matrix is singular to working precision")
-    schedule = qdwh_schedule(ell) if method == "qdwh" else zolo_schedule(ell)
+    schedule = _schedule(min(0.9 * (smin / smax), 1.0), method)
     w = _apply_schedule(a / smax, schedule, hermitian=hermitian)
     if norm_fro(w.conj().T @ w - np.eye(n)) > 10.0 * DEFAULT_TOL_FACTOR * n * U_ROUNDOFF:
         raise ConvergenceError(
@@ -202,25 +217,23 @@ def polar_iterative(
     return PolarFactors(w, h, method, len(schedule))
 
 
-def polar_modified(
-    a: np.ndarray, epsilon: float = 1e-15, *, smax: float
-) -> PolarFactors:
-    """Sign iteration on the fixed interval [epsilon, 1]: two rounds of the
-    order-MODIFIED_DEFAULT_ORDER Zolotarev map, applied to A / smax.
+def polar_modified(a: np.ndarray, *, smax: float, method: str = "qdwh") -> PolarFactors:
+    """Sign iteration on the fixed interval [EPSILON, 1]: the method's
+    schedule for interval edge EPSILON, applied to A / smax.
 
     smax is A's largest singular value: the map sends values above 1 away
     from 1, so W loses orthonormality on an unscaled A with singular values
     above 1 (a block of an input up to 0.1 from a partial isometry can have
-    them up to 1.1).  Singular values of A / smax at or above epsilon are
+    them up to 1.1).  Singular values of A / smax at or above EPSILON are
     mapped to 1 - O(u); smaller ones stay in [0, 1], so W is not
     orthonormal when A is nearly rank deficient, while the symmetrized W*A
     still matches the true Hermitian factor to O(u).
     """
     a = _require_tall(a)
-    schedule = sign_schedule(epsilon, MODIFIED_DEFAULT_ORDER, 2)
+    schedule = _schedule(EPSILON, method)
     w = _apply_schedule(a / smax, schedule, hermitian=False)
     h = hermitian_part(w.conj().T @ a)
-    return PolarFactors(w, h, "zolo", len(schedule))
+    return PolarFactors(w, h, method, len(schedule))
 
 
 def canonical_polar(a: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:

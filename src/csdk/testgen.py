@@ -14,13 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csd import nint
 from .kernel import qr_factor
 
 NOISE_LEVEL = 1e-10
 
 # Offset deriving the noise stream of a primed test from the base seed.
 _NOISE_SEED_OFFSET = 0x9E3779B9
+
+
+def nint(x: float) -> int:
+    """Nearest integer, halves away from zero."""
+    return int(np.floor(x + 0.5)) if x >= 0 else -int(np.floor(-x + 0.5))
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -89,8 +89,6 @@ def test_compute_flag_combinations(tmp_path, capsys):
             str(tmp_path / "o"),
             "--method",
             "zolo",
-            "--epsilon",
-            "1e-14",
             "--format",
             "csv",
         ]
@@ -158,18 +156,17 @@ def test_bad_shape_exit_1(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("epsilon", ["1e-3", "0"])
 @pytest.mark.parametrize("command", ["compute", "bench"])
-def test_epsilon_out_of_range_exit_1(tmp_path, capsys, command, epsilon):
-    src = tmp_path / "in.cmat"
-    write_identity_block(src, n=3)
+def test_epsilon_flag_rejected(tmp_path, capsys, command):
+    # The ill-conditioning threshold is a constant, not an option.
     if command == "compute":
-        argv = ["compute", "--input", str(src), "--m1", "3", "--out", str(tmp_path / "o")]
+        argv = ["compute", "--input", "a.cmat", "--m1", "3", "--out", str(tmp_path / "o")]
     else:
         argv = ["bench", "--classes", "1", "--sizes", "8", "--seeds", "1"]
-    code = main(argv + ["--epsilon", epsilon])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--epsilon", "1e-14"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
 
 
 def test_bench_csv(tmp_path, capsys):

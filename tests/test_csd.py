@@ -13,7 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import csdk.polar
 from csdk.csd import (
     CsdOptions,
     build_B,
@@ -21,7 +24,6 @@ from csdk.csd import (
     csd,
     csd_2x2,
     extract_cs,
-    nint,
     polar_via_qr_fix,
     postprocess_trig,
 )
@@ -42,6 +44,7 @@ from csdk.testgen import (
     gen_rank_deficient_clustered,
     gen_rank_deficient_haar,
     generate,
+    nint,
 )
 
 U = U_ROUNDOFF
@@ -163,10 +166,34 @@ class TestCsdDispatch:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             CsdOptions(polar_method="cayley")
-        with pytest.raises(ValueError):
-            CsdOptions(epsilon=0.0)
-        with pytest.raises(ValueError):
-            CsdOptions(epsilon=1e-7)
+
+    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
+    def test_fixed_interval_runs_the_routes_iteration(self, monkeypatch, method):
+        # polar_method picks the sign iteration of the fixed-interval
+        # variant too: on qdwh every factor built is a p = 1 Halley factor,
+        # and each block reports the route that actually ran.
+        n = 12
+        a = gen_rank_deficient_haar(n, seed=2)
+        orders, routes = [], []
+        build, modified = csdk.polar.sign_iteration_factors, csdk_csd.polar_modified
+
+        def built(ell, p):
+            orders.append(p)
+            return build(ell, p)
+
+        def ran(*args, **kwargs):
+            pf = modified(*args, **kwargs)
+            routes.append(pf.method)
+            return pf
+
+        monkeypatch.setattr(csdk.polar, "sign_iteration_factors", built)
+        monkeypatch.setattr(csdk_csd, "polar_modified", ran)
+        csd(a, n, CsdOptions(polar_method=method))
+        assert routes == [method, method]
+        if method == "qdwh":
+            assert orders and set(orders) == {1}
+        else:
+            assert max(orders) == 8
 
 
 class TestNoiseScaleSweep:
@@ -560,6 +587,51 @@ def _unitary_completion(a: np.ndarray) -> np.ndarray:
     return np.hstack([a, q[:, a.shape[1] :]])
 
 
+# Angles that put a block's singular values at the extremes the polar
+# routes tell apart: exactly 0 (a zero row of C or S), near the 1e-15
+# ill-conditioning threshold and near the 1e-7 QR-fix threshold.
+_EDGE_ANGLES = (0.0, 5e-16, 1e-15, 2e-15, 5e-8, 1e-7, 2e-7, np.pi / 4, np.pi / 2)
+
+
+@st.composite
+def _stack_specs(draw, deficient):
+    """(m1, m2, theta, dropped, seed) for `_built_stack`: tall blocks of
+    unequal heights, angles drawn mostly from _EDGE_ANGLES, so they repeat,
+    and with deficient, 1..n-1 dropped columns."""
+    n = draw(st.integers(2 if deficient else 1, 8))
+    m1, m2 = (n + draw(st.integers(0, 6)) for _ in range(2))
+    angle = st.one_of(
+        st.sampled_from(_EDGE_ANGLES),
+        st.sampled_from(_EDGE_ANGLES).map(lambda t: np.pi / 2 - t),
+        st.floats(0.0, np.pi / 2),
+    )
+    theta = draw(st.lists(angle, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # A zero top or bottom block.
+        theta = [draw(st.sampled_from((0.0, np.pi / 2)))] * n
+    dropped = ()
+    if deficient:
+        dropped = tuple(
+            draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))
+        )
+    return m1, m2, tuple(theta), dropped, draw(st.integers(0, 2**16))
+
+
+def _built_stack(m1, m2, theta, dropped, seed):
+    """[U1 C V1*; U2 S V1*] with Haar factors, C = cos(theta) exactly 0 at
+    pi/2, and both diagonals zeroed at the dropped indices."""
+    n = len(theta)
+    theta = np.asarray(theta)
+    c = np.where(theta == np.pi / 2, 0.0, np.cos(theta))
+    s = np.sin(theta)
+    c[list(dropped)] = 0.0
+    s[list(dropped)] = 0.0
+    u1 = gen_haar_stiefel(m1, n, seed)
+    u2 = gen_haar_stiefel(m2, n, seed + 1)
+    v1 = gen_haar_stiefel(n, n, seed + 2)
+    return stacked(u1, u2, v1, c, s)
+
+
 class TestAgainstLapackCsd:
     @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
     @pytest.mark.parametrize(
@@ -595,6 +667,43 @@ class TestAgainstLapackCsd:
         res = csd(a, m1, CsdOptions(polar_method=method))
         assert res.k == n
         assert np.max(np.abs(res.theta - np.sort(theta))) <= 50 * n * U
+
+    # 45 drawn specs plus the pinned examples: at most 50 per route.
+    @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
+    @settings(max_examples=45, derandomize=True, deadline=None, database=None)
+    @given(spec=_stack_specs(deficient=False))
+    @example(spec=(5, 3, (np.pi / 2,) * 3, (), 1))  # zero top block
+    @example(spec=(4, 7, (0.0, 1e-15, 0.3, 1.2), (), 2))  # sigma_min near 1e-15
+    @example(spec=(6, 6, (1e-7, 1e-7, 0.5, 0.5, 0.5), (), 3))  # near 1e-7, repeats
+    def test_built_stacks_match_cossin(self, method, spec):
+        # Unequal tall splits, zero blocks, repeated angles and block
+        # sigma_min near the 1e-15 and 1e-7 thresholds.
+        m1, _, theta, _, _ = spec
+        a = _built_stack(*spec)
+        n = a.shape[1]
+        _, ref, _ = scipy.linalg.cossin(
+            _unitary_completion(a), p=m1, q=n, separate=True
+        )
+        res = csd(a, m1, CsdOptions(polar_method=method))
+        assert res.k == n
+        assert np.max(np.abs(res.theta - np.sort(ref))) <= 50 * n * U
+        assert np.max(np.abs(res.theta - np.sort(theta))) <= 50 * n * U
+
+    @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
+    @settings(max_examples=45, derandomize=True, deadline=None, database=None)
+    @given(spec=_stack_specs(deficient=True))
+    @example(spec=(4, 4, (np.pi / 2,) * 4, (0,), 1))  # zero top block
+    @example(spec=(7, 5, (1e-7, 1e-7, 0.4, 0.0, 1e-15), (3,), 2))
+    def test_rank_deficient_matches_built_angles(self, method, spec):
+        # The rank-deficient branch has no LAPACK oracle; its active angles
+        # are checked against those the input was built from.
+        m1, _, theta, dropped, _ = spec
+        a = _built_stack(*spec)
+        n = a.shape[1]
+        active = np.delete(np.asarray(theta), dropped)
+        res = csd(a, m1, CsdOptions(polar_method=method))
+        assert res.k == res.rank == len(active)
+        assert np.max(np.abs(res.theta - np.sort(active))) <= 50 * n * U
 
 
 def _count_calls(monkeypatch, modules, attrs) -> dict:

@@ -8,12 +8,13 @@ import csdk.polar
 from csdk.errors import ConvergenceError, DimensionError
 from csdk.kernel import U_ROUNDOFF, norm_fro, singular_values
 from csdk.polar import (
-    MODIFIED_DEFAULT_ORDER,
+    EPSILON,
     canonical_polar,
     polar_iterative,
     polar_modified,
     polar_svd,
-    sign_schedule,
+    qdwh_schedule,
+    zolo_schedule,
 )
 from csdk.testgen import gen_haar_stiefel
 from csdk.zolotarev import eval_sign_approx
@@ -171,8 +172,19 @@ class TestPolarIterative:
         # An interval edge that six Halley rounds cannot flatten is refused
         # while the schedule is built, before any matrix work.
         monkeypatch.setattr(csdk.polar, "_apply_schedule", None)
+        with pytest.raises(ConvergenceError, match="more than 6 rounds"):
+            polar_iterative(np.eye(3, dtype=complex), 1.0, 1e-44)
+
+    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
+    @pytest.mark.parametrize("smin", [1e-60, 1e-80, 1e-300])
+    def test_tiny_interval_edge_signals_before_any_round(self, monkeypatch, method, smin):
+        # No schedule is built from an edge this small: the Halley weights
+        # overflow below about 1.2e-77 and the order-8 residues turn NaN
+        # below about 7e-50.  Both routes refuse it with the typed error,
+        # before any matrix work.
+        monkeypatch.setattr(csdk.polar, "_apply_schedule", None)
         with pytest.raises(ConvergenceError):
-            polar_iterative(np.eye(3, dtype=complex), 1.0, 1e-60)
+            polar_iterative(np.eye(3, dtype=complex), 1.0, smin, method=method)
 
     def test_singular_input_signals(self):
         a = np.diag([1.0, 0.0]).astype(complex)
@@ -232,16 +244,21 @@ class TestPolarModified:
 
     def test_scalar_shadow_consistency(self):
         # For diagonal input the matrix map acts entrywise, so the computed
-        # Hermitian factor must match d * r(d) from the scalar shadow of its
-        # schedule: order MODIFIED_DEFAULT_ORDER, two rounds on [epsilon, 1].
+        # Hermitian factor must match d * r(d) from the scalar shadow of the
+        # method's own schedule on [EPSILON, 1], for both methods.
         d = np.array([1.0, 0.3, 1e-3, 1e-12, 1e-16])
         a = np.diag(d).astype(complex)
-        schedule = sign_schedule(1e-15, MODIFIED_DEFAULT_ORDER, 2)
-        pf = polar_modified(a, 1e-15, smax=1.0)
-        predicted = d * eval_sign_approx(d, schedule)
-        np.testing.assert_allclose(
-            np.real(np.diagonal(pf.h)), predicted, atol=1e2 * U_ROUNDOFF
-        )
+        for method, schedule in (
+            ("qdwh", qdwh_schedule(EPSILON)),
+            ("zolo", zolo_schedule(EPSILON)),
+        ):
+            pf = polar_modified(a, smax=1.0, method=method)
+            assert pf.method == method
+            assert pf.iterations == len(schedule)
+            predicted = d * eval_sign_approx(d, schedule)
+            np.testing.assert_allclose(
+                np.real(np.diagonal(pf.h)), predicted, atol=1e2 * U_ROUNDOFF
+            )
 
 
 class TestCanonicalPolar:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from csdk.csd import nint
 from csdk.isometry import dist_to_partial_isometry, eps_rank
 from csdk.kernel import U_ROUNDOFF, norm_fro
 from csdk.testgen import (
@@ -16,6 +15,7 @@ from csdk.testgen import (
     gen_rank_deficient_clustered,
     gen_rank_deficient_haar,
     generate,
+    nint,
 )
 
 U = U_ROUNDOFF
