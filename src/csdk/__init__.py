@@ -2,12 +2,15 @@
 isometries, computed from two polar decompositions and one Hermitian
 eigendecomposition.
 
-The top level holds the user API.  The supporting factorization stack
-(rational sign-function polar iterations, spectral divide-and-conquer
-eigensolver) and the seeded benchmark generators are imported from their
-submodules: `csdk.polar`, `csdk.symeig`, `csdk.kernel`, `csdk.testgen`.
-Fallbacks to the SVD polar route are logged as warnings on the "csdk"
-logger, which stays quiet until the application configures logging.
+The top level holds the user API.  `csd` takes its polar factors from
+block SVDs by default; `CsdOptions(polar_method="qdwh")` or `"zolo"`
+selects the paper's rational sign-function iterations instead.  The
+supporting factorization stack (those polar iterations, the spectral
+divide-and-conquer eigensolver) and the seeded benchmark generators are
+imported from their submodules: `csdk.polar`, `csdk.symeig`,
+`csdk.kernel`, `csdk.testgen`.  On the iterative routes, fallbacks to the
+SVD polar are logged as warnings on the "csdk" logger, which stays quiet
+until the application configures logging.
 """
 
 import logging

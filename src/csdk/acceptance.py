@@ -22,6 +22,8 @@ from .testgen import TestCase, bench_sizes, gen_clustered, gen_haar_stiefel, gen
 
 SIZES = bench_sizes(5)
 SEEDS = (1, 2, 3)
+# The default route and the paper's main iterative route.
+_STABILITY_METHODS = ("svd", "qdwh")
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ def _check_stability(classes, ident, title) -> CriterionResult:
     rows = []
     ok = True
     for cid, noisy, method, n, seed in _class_rows(
-        classes, (False, True), ("svd", "qdwh")
+        classes, (False, True), _STABILITY_METHODS
     ):
         case = TestCase(cid, noisy, n, seed)
         a = generate(case)
@@ -106,7 +108,7 @@ def _check_stability(classes, ident, title) -> CriterionResult:
             ok = False
             rows.append(f"class {case.label} n={n} s={seed} {method}: " + ",".join(bad))
     detail = "all thresholds met" if ok else _report_lines(rows)
-    count = len(list(_class_rows(classes, (False, True), ("svd", "qdwh"))))
+    count = len(list(_class_rows(classes, (False, True), _STABILITY_METHODS)))
     return CriterionResult(ident, title, ok, f"{detail} ({count} runs)")
 
 
@@ -269,27 +271,30 @@ def criterion_7() -> CriterionResult:
 
 def criterion_8() -> CriterionResult:
     """Complete 2x2 decomposition of Haar unitaries reconstructs all four
-    blocks and yields an orthonormal V2."""
+    blocks and yields an orthonormal V2, on the svd and qdwh routes."""
     rows = []
     ok = True
-    for n in (10, 30):
-        for seed in SEEDS:
-            a = gen_haar_stiefel(2 * n, 2 * n, seed=seed)
-            res, v2 = csd_2x2(a)
-            v1h = res.v1.conj().T
-            v2h = v2.conj().T
-            ahat = np.block(
-                [
-                    [(res.u1 * res.c) @ v1h, -(res.u1 * res.s) @ v2h],
-                    [(res.u2 * res.s) @ v1h, (res.u2 * res.c) @ v2h],
-                ]
-            )
-            resid = norm_2(ahat - a)
-            orth = norm_2(v2.conj().T @ v2 - np.eye(n))
-            bound = 50.0 * n * U_ROUNDOFF
-            if resid > bound or orth > bound:
-                ok = False
-                rows.append(f"n={n} seed {seed}: resid {resid:.2e}, V2 orth {orth:.2e}")
+    for method in _STABILITY_METHODS:
+        for n in (10, 30):
+            for seed in SEEDS:
+                a = gen_haar_stiefel(2 * n, 2 * n, seed=seed)
+                res, v2 = csd_2x2(a, CsdOptions(polar_method=method))
+                v1h = res.v1.conj().T
+                v2h = v2.conj().T
+                ahat = np.block(
+                    [
+                        [(res.u1 * res.c) @ v1h, -(res.u1 * res.s) @ v2h],
+                        [(res.u2 * res.s) @ v1h, (res.u2 * res.c) @ v2h],
+                    ]
+                )
+                resid = norm_2(ahat - a)
+                orth = norm_2(v2.conj().T @ v2 - np.eye(n))
+                bound = 50.0 * n * U_ROUNDOFF
+                if resid > bound or orth > bound:
+                    ok = False
+                    rows.append(
+                        f"{method} n={n} seed {seed}: resid {resid:.2e}, V2 orth {orth:.2e}"
+                    )
     details = "reconstruction and V2 orthogonality within 50nu" if ok else _report_lines(rows)
     return CriterionResult("8", "complete 2x2 decomposition", ok, details)
 

@@ -113,8 +113,10 @@ def _parse_int_list(text: str) -> list[int]:
         if not part:
             continue
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in part.split("..", 1))
+            if lo > hi:
+                raise ValueError(f"range {part!r} descends")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     if not out:
@@ -170,8 +172,8 @@ def _add_common_options(parser) -> None:
     parser.add_argument(
         "--method",
         choices=("svd", "qdwh", "zolo"),
-        default="qdwh",
-        help="route for the two polar decompositions",
+        default=CsdOptions().polar_method,
+        help="route for the two polar decompositions (default: %(default)s)",
     )
     parser.add_argument(
         "--format", choices=("table", "csv", "jsonl"), default="table"

@@ -17,21 +17,25 @@ The decomposition is backward stable whenever the two polar
 decompositions and the eigendecomposition are, so any backward-stable
 Hermitian eigensolver serves.  Every polar route uses LAPACK's
 (`symeig_direct`); the spectral divide-and-conquer solver stays
-standalone in `csdk.symeig`.
+standalone in `csdk.symeig`.  The whole path runs on numpy's LAPACK.
 
-On the qdwh and zolo routes each block's singular values, from one
-values-only SVD, pick its polar route and drive the sign iteration: the
-largest scales the block on every such route, and at full rank the
-smallest sets the iteration's interval edge.  The polar routines take
-these values from the caller and compute none of their own.  The whole
-path runs on numpy's LAPACK.
+The same theorem lets the polar route be picked on speed alone.  The
+default, "svd", takes each block's polar factors from one full SVD of the
+block (`polar_svd`).  It is unconditionally stable, so it needs no
+thresholds, no fixed-interval variant and no QR fix, and on a few cores
+it is faster than either sign iteration.
 
-Ill-conditioned and rank-deficient blocks go through the fixed-interval
-polar variant, the same sign iteration as the route's plain polar run on
-[EPSILON, 1].  For ill-conditioned blocks orthonormality of the resulting
-W is then restored from the identity W = Q Q_H*, where Q and Q_H are the
-Q-factors of A_i and of its Hermitian polar factor, which share one
-R-factor under the nonnegative-diagonal QR convention.
+The paper's opt-in routes, "qdwh" and "zolo", run a sign iteration
+instead.  There each block's singular values, from one values-only SVD,
+pick its polar route and drive the iteration: the largest scales the
+block, and at full rank the smallest sets the iteration's interval edge.
+The polar routines take these values from the caller and compute none of
+their own.  Ill-conditioned and rank-deficient blocks go through the
+fixed-interval polar variant, the same sign iteration run on [EPSILON,
+1].  For ill-conditioned blocks orthonormality of the resulting W is then
+restored from the identity W = Q Q_H*, where Q and Q_H are the Q-factors
+of A_i and of its Hermitian polar factor, which share one R-factor under
+the nonnegative-diagonal QR convention.
 """
 
 from __future__ import annotations
@@ -84,13 +88,15 @@ class CsdOptions:
     """Knobs for the decomposition.
 
     polar_method picks the route for the two polar decompositions and
-    nothing else: "qdwh" and "zolo" run that sign iteration on every
-    block, the fixed-interval variant included, and every route
-    eigendecomposes B with LAPACK's Hermitian solver.  The rank, and with
-    it the branch, is read off A itself; see `csd`.
+    nothing else.  The default "svd" takes each block's polar factors
+    from its SVD, the fastest route on a few cores.  The paper's routes
+    "qdwh" and "zolo" run that sign iteration on every block, the
+    fixed-interval variant included.  Every route eigendecomposes B with
+    LAPACK's Hermitian solver.  The rank, and with it the branch, is read
+    off A itself; see `csd`.
     """
 
-    polar_method: str = "qdwh"
+    polar_method: str = "svd"
 
     def __post_init__(self):
         if self.polar_method not in ("svd", "qdwh", "zolo"):
@@ -289,20 +295,23 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     than square.
 
     Inputs farther than 0.1 from every partial isometry are refused; the
-    same singular values of A give its rank r = #{sigma_i > 1/2}.  Each
-    block's polar route is then chosen on its own.
+    same singular values of A give its rank r = #{sigma_i > 1/2}.
 
-    Full rank (r = n, mu = 0): a block whose sigma_n / sigma_1 is at least
+    Full rank (r = n, mu = 0): B's n eigenpairs give V1.  Rank deficient
+    (r < n, mu = 2): the null space is pushed to eigenvalue mu = 2 of B,
+    above the eigenvalues of the r active angles, so the r smallest
+    eigenpairs of B give V1, and the output is economical, k = r columns.
+
+    On the default svd route each block's W_i and H_i come from its SVD
+    on both branches; W_i has orthonormal columns, so U_i = W_i V1 does
+    too.  On the qdwh and zolo routes each block's polar route is chosen
+    on its own.  At full rank, a block whose sigma_n / sigma_1 is at least
     EPSILON = 1e-15 runs the plain iterative polar; one below it is
-    rerouted through the fixed-interval polar plus QR fix.
-
-    Rank deficient (r < n, mu = 2): both blocks go through the
-    fixed-interval polar variant.  The null space is pushed to eigenvalue
-    mu = 2 of B, above the eigenvalues of the r active angles, so the r
-    smallest eigenpairs of B give V1, and U_i = W_i V1 comes out
-    orthonormal because the fixed-interval map sends every active singular
-    value to 1 - O(u).  The output is economical, k = r columns.  A block
-    whose r-th singular value is below 1e-7 additionally gets the QR fix.
+    rerouted through the fixed-interval polar plus QR fix.  Below full
+    rank both blocks go through the fixed-interval polar variant, and U_i
+    comes out orthonormal because its map sends every active singular
+    value to 1 - O(u).  A block whose r-th singular value is below 1e-7
+    additionally gets the QR fix.
     """
     a, rank = _gated(a, m1)
     n = a.shape[1]

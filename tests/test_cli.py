@@ -8,7 +8,7 @@ import pytest
 
 from csdk.cli import _options_from_args, build_parser, main
 from csdk.cmat import load_matrix, save_matrix
-from csdk.csd import CsdOptions
+from csdk.csd import CsdOptions, csd
 from csdk.kernel import U_ROUNDOFF
 from csdk.testgen import gen_clustered
 
@@ -114,6 +114,35 @@ def test_compute_options_cover_every_knob(monkeypatch):
     assert set(passed) == {f.name for f in dataclasses.fields(CsdOptions)}
 
 
+@pytest.mark.parametrize("command", ["compute", "bench"])
+def test_method_default_comes_from_csd_options(tmp_path, monkeypatch, command):
+    """Without --method both commands run CsdOptions' default route, read
+    from CsdOptions itself, so the two cannot drift apart."""
+
+    @dataclasses.dataclass(frozen=True)
+    class ZoloByDefault(CsdOptions):
+        polar_method: str = "zolo"
+
+    seen = []
+
+    def spy(a, m1, opts):
+        seen.append(opts.polar_method)
+        return csd(a, m1, opts)
+
+    monkeypatch.setattr("csdk.cli.csd", spy)
+    if command == "compute":
+        src = tmp_path / "in.cmat"
+        write_identity_block(src, n=4)
+        argv = ["compute", "--input", str(src), "--m1", "4", "--out", str(tmp_path / "o")]
+    else:
+        argv = ["bench", "--classes", "1", "--sizes", "8", "--seeds", "1"]
+    for options in (CsdOptions, ZoloByDefault):
+        monkeypatch.setattr("csdk.cli.CsdOptions", options)
+        seen.clear()
+        assert main(argv) == 0
+        assert seen == [options().polar_method]
+
+
 def test_malformed_file_exit_3(tmp_path, capsys):
     src = tmp_path / "bad.cmat"
     src.write_text("cmat 2 two real\n1 2 3 4\n")
@@ -205,6 +234,7 @@ def test_bench_csv(tmp_path, capsys):
         ("1", "1", "1"),
         ("1", "8,0", "1"),
         ("1", "8", "3..1"),
+        ("1", "8", "1,5..2"),
         ("1", "8", ","),
         ("1", ",", "1"),
         ("", "8", "1"),

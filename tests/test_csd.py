@@ -50,6 +50,9 @@ from csdk.testgen import (
 U = U_ROUNDOFF
 # The package attribute csdk.csd is the function; this is the module.
 csdk_csd = importlib.import_module("csdk.csd")
+# Tests that would otherwise run only the default route loop over all of
+# them, so the opt-in iterative routes keep their coverage.
+ROUTES = ("svd", "qdwh", "zolo")
 
 
 def clustered_three_angle_stack():
@@ -71,38 +74,43 @@ class TestCsdDispatch:
     def test_identity_over_zero(self):
         n = 4
         a = np.vstack([np.eye(n), np.zeros((n, n))]).astype(complex)
-        res = csd(a, n)
-        np.testing.assert_allclose(res.c, np.ones(n))
-        np.testing.assert_allclose(res.s, np.zeros(n))
-        np.testing.assert_allclose(res.theta, np.zeros(n))
-        assert res.branch == "full_rank"
-        assert res.mu == 0.0
+        for method in ROUTES:
+            res = csd(a, n, CsdOptions(polar_method=method))
+            np.testing.assert_allclose(res.c, np.ones(n))
+            np.testing.assert_allclose(res.s, np.zeros(n))
+            np.testing.assert_allclose(res.theta, np.zeros(n))
+            assert res.branch == "full_rank"
+            assert res.mu == 0.0
 
     def test_balanced_stack(self):
         n = 3
         a = np.vstack([np.eye(n), np.eye(n)]).astype(complex) / np.sqrt(2)
-        res = csd(a, n)
-        np.testing.assert_allclose(res.theta, np.full(n, np.pi / 4), atol=1e-14)
-        np.testing.assert_allclose(res.c, np.full(n, 1 / np.sqrt(2)), atol=1e-14)
-        rep = stability_report(a, res)
-        assert rep.residual_2norm <= 50 * n * U
+        for method in ROUTES:
+            res = csd(a, n, CsdOptions(polar_method=method))
+            np.testing.assert_allclose(res.theta, np.full(n, np.pi / 4), atol=1e-14)
+            np.testing.assert_allclose(res.c, np.full(n, 1 / np.sqrt(2)), atol=1e-14)
+            rep = stability_report(a, res)
+            assert rep.residual_2norm <= 50 * n * U
 
     def test_three_clustered_angles_recovered(self):
         a, theta, _ = clustered_three_angle_stack()
-        res = csd(a, 3)
-        np.testing.assert_allclose(res.theta, theta, atol=1e-15)
-        assert norm_2(assemble_blocks(res) - a) <= 1e-14
+        for method in ROUTES:
+            res = csd(a, 3, CsdOptions(polar_method=method))
+            np.testing.assert_allclose(res.theta, theta, atol=1e-15)
+            assert norm_2(assemble_blocks(res) - a) <= 1e-14
 
     def test_rank_deficient_dispatch(self):
         n = 16
         a = gen_rank_deficient_haar(n, seed=2)
-        res = csd(a, n)
-        assert res.branch in ("rank_deficient", "rank_deficient_ill_conditioned")
-        assert res.k == nint(3 * n / 4) == res.rank
-        assert res.mu == 2.0
-        assert np.max(np.abs(res.c**2 + res.s**2 - 1.0)) <= 1e-14
-        # The svd route never takes the QR fix.
-        assert csd(a, n, CsdOptions(polar_method="svd")).branch == "rank_deficient"
+        for method in ROUTES:
+            res = csd(a, n, CsdOptions(polar_method=method))
+            assert res.branch in ("rank_deficient", "rank_deficient_ill_conditioned")
+            assert res.k == nint(3 * n / 4) == res.rank
+            assert res.mu == 2.0
+            assert np.max(np.abs(res.c**2 + res.s**2 - 1.0)) <= 1e-14
+            if method == "svd":
+                # The svd route never takes the QR fix.
+                assert res.branch == "rank_deficient"
 
     def test_shape_validation(self):
         a = gen_haar_stiefel(8, 3, seed=1)
@@ -144,10 +152,11 @@ class TestCsdDispatch:
         x = gen_haar_stiefel(m1 + m2, r, seed=9)
         y = gen_haar_stiefel(n, r, seed=10)
         a = x @ y.conj().T
-        res = csd(a, m1)
-        assert res.k == r
-        rep = stability_report(a, res)
-        assert rep.residual_2norm <= 50 * n * U
+        for method in ROUTES:
+            res = csd(a, m1, CsdOptions(polar_method=method))
+            assert res.k == r
+            rep = stability_report(a, res)
+            assert rep.residual_2norm <= 50 * n * U
 
     def test_convergence_failure_falls_back_loudly(self, monkeypatch, caplog):
         # A block whose iteration fails goes to the SVD polar, and the
@@ -437,20 +446,22 @@ class TestRankDeficient:
     def test_tiny_example(self):
         a = np.zeros((4, 2), dtype=complex)
         a[0, 0] = 1.0
-        res = csd(a, 2)
-        assert res.k == 1
-        np.testing.assert_allclose(res.c, [1.0])
-        np.testing.assert_allclose(res.s, [0.0])
+        for method in ROUTES:
+            res = csd(a, 2, CsdOptions(polar_method=method))
+            assert res.k == 1
+            np.testing.assert_allclose(res.c, [1.0])
+            np.testing.assert_allclose(res.s, [0.0])
 
     def test_metrics_thresholds(self):
         n = 20
         a = gen_rank_deficient_haar(n, seed=5)
-        res = csd(a, n)
-        rep = stability_report(a, res)
-        assert rep.residual_2norm <= 50 * n * U
-        assert rep.orth_u1 <= 50 * n
-        assert rep.orth_u2 <= 50 * n
-        assert rep.orth_v1 <= 50 * n
+        for method in ROUTES:
+            res = csd(a, n, CsdOptions(polar_method=method))
+            rep = stability_report(a, res)
+            assert rep.residual_2norm <= 50 * n * U
+            assert rep.orth_u1 <= 50 * n
+            assert rep.orth_u2 <= 50 * n
+            assert rep.orth_v1 <= 50 * n
 
     def test_angles_near_quarter_pi(self):
         # Null space (mu group) must separate from active angles even when
@@ -466,11 +477,12 @@ class TestRankDeficient:
         u2 = gen_haar_stiefel(n, n, seed=46)
         v1 = gen_haar_stiefel(n, n, seed=47)
         a = stacked(u1, u2, v1, c, s)
-        res = csd(a, n)
-        assert res.k == r
-        rep = stability_report(a, res)
-        assert rep.residual_2norm <= 50 * n * U
-        assert rep.orth_u1 <= 50 * n and rep.orth_u2 <= 50 * n
+        for method in ROUTES:
+            res = csd(a, n, CsdOptions(polar_method=method))
+            assert res.k == r
+            rep = stability_report(a, res)
+            assert rep.residual_2norm <= 50 * n * U
+            assert rep.orth_u1 <= 50 * n and rep.orth_u2 <= 50 * n
         # Verify the claimed spectral gap between the active band and mu.
         h1 = polar_svd(a[:n]).h
         h2 = polar_svd(a[n:]).h
@@ -479,42 +491,41 @@ class TestRankDeficient:
         assert np.min(shifted) - np.max(np.abs(active)) >= 0.9
 
 
+def _assemble_2x2(res, v2):
+    v1h, v2h = res.v1.conj().T, v2.conj().T
+    return np.block(
+        [
+            [(res.u1 * res.c) @ v1h, -(res.u1 * res.s) @ v2h],
+            [(res.u2 * res.s) @ v1h, (res.u2 * res.c) @ v2h],
+        ]
+    )
+
+
 class TestCsd2x2:
     def test_identity(self):
         n = 3
-        res, v2 = csd_2x2(np.eye(2 * n, dtype=complex))
-        np.testing.assert_allclose(res.c, np.ones(n))
-        np.testing.assert_allclose(res.s, np.zeros(n), atol=1e-15)
-        assert norm_fro(v2.conj().T @ v2 - np.eye(n)) <= 50 * n * U
+        for method in ROUTES:
+            res, v2 = csd_2x2(np.eye(2 * n, dtype=complex), CsdOptions(polar_method=method))
+            np.testing.assert_allclose(res.c, np.ones(n))
+            np.testing.assert_allclose(res.s, np.zeros(n), atol=1e-15)
+            assert norm_fro(v2.conj().T @ v2 - np.eye(n)) <= 50 * n * U
 
     def test_known_rotation_angles(self):
         theta = np.array([0.3, 0.7])
         c, s = np.diag(np.cos(theta)), np.diag(np.sin(theta))
         a = np.block([[c, -s], [s, c]]).astype(complex)
-        res, v2 = csd_2x2(a)
-        np.testing.assert_allclose(res.theta, theta, atol=1e-14)
-        v1h, v2h = res.v1.conj().T, v2.conj().T
-        ahat = np.block(
-            [
-                [(res.u1 * res.c) @ v1h, -(res.u1 * res.s) @ v2h],
-                [(res.u2 * res.s) @ v1h, (res.u2 * res.c) @ v2h],
-            ]
-        )
-        assert norm_2(ahat - a) <= 50 * 2 * U
+        for method in ROUTES:
+            res, v2 = csd_2x2(a, CsdOptions(polar_method=method))
+            np.testing.assert_allclose(res.theta, theta, atol=1e-14)
+            assert norm_2(_assemble_2x2(res, v2) - a) <= 50 * 2 * U
 
     def test_haar_unitary(self):
         n = 20
         a = gen_haar_stiefel(2 * n, 2 * n, seed=14)
-        res, v2 = csd_2x2(a)
-        v1h, v2h = res.v1.conj().T, v2.conj().T
-        ahat = np.block(
-            [
-                [(res.u1 * res.c) @ v1h, -(res.u1 * res.s) @ v2h],
-                [(res.u2 * res.s) @ v1h, (res.u2 * res.c) @ v2h],
-            ]
-        )
-        assert norm_2(ahat - a) <= 50 * n * U
-        assert norm_2(v2.conj().T @ v2 - np.eye(n)) <= 50 * n * U
+        for method in ROUTES:
+            res, v2 = csd_2x2(a, CsdOptions(polar_method=method))
+            assert norm_2(_assemble_2x2(res, v2) - a) <= 50 * n * U
+            assert norm_2(v2.conj().T @ v2 - np.eye(n)) <= 50 * n * U
 
     def test_non_unitary_rejected(self):
         with pytest.raises(PreconditionError):
@@ -563,22 +574,24 @@ class TestInvariants:
     def test_swap_symmetry(self):
         n = 10
         a = gen_haar_stiefel(2 * n, n, seed=77)
-        res = csd(a, n)
         swapped = np.vstack([a[n:], a[:n]])
-        res_swap = csd(swapped, n)
-        expected = np.pi / 2 - res.theta[::-1]
-        np.testing.assert_allclose(res_swap.theta, expected, atol=10 * n * U)
+        for method in ROUTES:
+            opts = CsdOptions(polar_method=method)
+            res = csd(a, n, opts)
+            res_swap = csd(swapped, n, opts)
+            expected = np.pi / 2 - res.theta[::-1]
+            np.testing.assert_allclose(res_swap.theta, expected, atol=10 * n * U)
 
     def test_gap_domination(self):
         a = gen_clustered(12, seed=3)
-        res = csd(a, 12)
-        th = res.theta
-        g = np.sin(th) - np.cos(th)
-        dc = np.abs(np.subtract.outer(np.cos(th), np.cos(th)))
-        ds = np.abs(np.subtract.outer(np.sin(th), np.sin(th)))
-        dg = np.abs(np.subtract.outer(g, g))
-        assert np.all(dc <= dg + 1e-14)
-        assert np.all(ds <= dg + 1e-14)
+        for method in ROUTES:
+            th = csd(a, 12, CsdOptions(polar_method=method)).theta
+            g = np.sin(th) - np.cos(th)
+            dc = np.abs(np.subtract.outer(np.cos(th), np.cos(th)))
+            ds = np.abs(np.subtract.outer(np.sin(th), np.sin(th)))
+            dg = np.abs(np.subtract.outer(g, g))
+            assert np.all(dc <= dg + 1e-14)
+            assert np.all(ds <= dg + 1e-14)
 
 
 def _unitary_completion(a: np.ndarray) -> np.ndarray:
@@ -748,6 +761,25 @@ class TestFactorizations:
         counts = _count_factorizations(monkeypatch)
         csd(a, n, CsdOptions(polar_method="svd"))
         assert counts == {"singular_values": 1, "svd_factor": 2, "qr_factor": 0}
+
+    @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+    def test_default_route_runs_no_sign_iteration(self, monkeypatch, deficient):
+        # Default options take the svd route: neither iterative polar runs
+        # and no sign-iteration factor is built, on either branch.
+        assert CsdOptions().polar_method == "svd"
+        n = 12
+        if deficient:
+            a = gen_rank_deficient_haar(n, seed=2)
+        else:
+            a = gen_haar_stiefel(2 * n, n, seed=2)
+        polars = _count_calls(
+            monkeypatch, ("csdk.csd",), ("polar_iterative", "polar_modified")
+        )
+        factors = _count_calls(monkeypatch, ("csdk.polar",), ("sign_iteration_factors",))
+        res = csd(a, n)
+        assert polars == {"polar_iterative": 0, "polar_modified": 0}
+        assert factors == {"sign_iteration_factors": 0}
+        assert res.branch == ("rank_deficient" if deficient else "full_rank")
 
     def test_qdwh_route_takes_values_only_block_svds(self, monkeypatch):
         n = 12

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csdk.csd import csd
+from csdk.csd import CsdOptions, csd
 from csdk.isometry import (
     dist_to_partial_isometry,
     eps_rank,
@@ -16,6 +16,7 @@ from csdk.polar import canonical_polar
 from csdk.testgen import add_noise, gen_haar_stiefel
 
 U = U_ROUNDOFF
+ROUTES = ("svd", "qdwh", "zolo")
 
 
 def from_singular_values(m, n, sigma, seed):
@@ -134,27 +135,30 @@ class TestStabilityReport:
     def test_exact_decomposition_scores_cleanly(self):
         n = 8
         a = gen_haar_stiefel(2 * n, n, seed=9)
-        res = csd(a, n)
-        rep = stability_report(a, res)
-        assert rep.residual_2norm <= 10 * n * U
-        assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 10 * n
+        for method in ROUTES:
+            rep = stability_report(a, csd(a, n, CsdOptions(polar_method=method)))
+            assert rep.residual_2norm <= 10 * n * U
+            assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 10 * n
 
     def test_clean_pipeline_thresholds(self):
         n = 30
         a = gen_haar_stiefel(2 * n, n, seed=10)
-        rep = stability_report(a, csd(a, n))
-        assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 50 * n
+        for method in ROUTES:
+            rep = stability_report(a, csd(a, n, CsdOptions(polar_method=method)))
+            assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 50 * n
 
     def test_noisy_scaled_residual(self):
         n = 30
         a = add_noise(gen_haar_stiefel(2 * n, n, seed=11), 1e-10, seed=12)
-        rep = stability_report(a, csd(a, n))
-        assert rep.d_of_a > 1e-12
-        assert rep.scaled_residual <= 10.0
+        for method in ROUTES:
+            rep = stability_report(a, csd(a, n, CsdOptions(polar_method=method)))
+            assert rep.d_of_a > 1e-12
+            assert rep.scaled_residual <= 10.0
 
     def test_all_fields_finite(self):
         n = 6
         a = gen_haar_stiefel(2 * n, n, seed=13)
-        rep = stability_report(a, csd(a, n))
-        for value in vars(rep).values():
-            assert np.isfinite(value) and value >= 0.0
+        for method in ROUTES:
+            rep = stability_report(a, csd(a, n, CsdOptions(polar_method=method)))
+            for value in vars(rep).values():
+                assert np.isfinite(value) and value >= 0.0

@@ -72,13 +72,14 @@ class TestClustered:
         assert np.max(s) < 1.0
 
     def test_recovered_angles_are_ordered_match(self):
-        from csdk.csd import csd
+        from csdk.csd import CsdOptions, csd
 
         n = 10
         a = gen_clustered(n, seed=5)
-        res = csd(a, n)
         c_ref = np.sort(np.linalg.svd(a[:n], compute_uv=False))
-        np.testing.assert_allclose(np.sort(np.cos(res.theta)), c_ref, atol=1e-7)
+        for method in ("svd", "qdwh", "zolo"):
+            res = csd(a, n, CsdOptions(polar_method=method))
+            np.testing.assert_allclose(np.sort(np.cos(res.theta)), c_ref, atol=1e-7)
 
     def test_deterministic(self):
         np.testing.assert_array_equal(gen_clustered(8, 9), gen_clustered(8, 9))
