@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .csd import CsdOptions, csd, csd_2x2
-from .isometry import eps_rank, lemma22_check, lemma23_bound, stability_report
+from .isometry import lemma22_check, lemma23_bound, stability_report
 from .kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro, singular_values
 from .polar import canonical_polar, polar_iterative, polar_modified, polar_svd
 from .symeig import symeig_direct, symeig_sdc
@@ -259,7 +259,6 @@ def criterion_7() -> CriterionResult:
         a = iso + level * noise
         eps = max(level * 10.0 * math.sqrt(a.size), 1e-13)
         bound = lemma23_bound(a, eps)
-        rr = eps_rank(a, eps)
         u, _ = canonical_polar(a, eps)
         actual = norm_2(a - u)
         if actual > bound + slack:

@@ -8,6 +8,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -867,3 +869,142 @@ class TestFactorizations:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def _full_rank_ill_conditioned(n: int = 8) -> np.ndarray:
+    """Angles from 0 to pi/2: each block has a singular value at or below
+    cos(pi/2) ~ 6e-17, so on the iterative routes both take the QR fix."""
+    theta = np.linspace(0.0, np.pi / 2, n)
+    factors = (gen_haar_stiefel(n, n, seed=k) for k in (61, 62, 63))
+    return stacked(*factors, np.cos(theta), np.sin(theta))
+
+
+def _concurrency_inputs():
+    n = 8
+    qr_fix = _qr_fix_repros()[1].values[0]  # rank 6 of 8, 1e-12 noise
+    return [
+        pytest.param(gen_haar_stiefel(2 * n, n, seed=4), None, id="full-rank"),
+        pytest.param(gen_clustered(n, seed=4), None, id="clustered"),
+        pytest.param(gen_rank_deficient_haar(n, seed=4), None, id="rank-deficient"),
+        pytest.param(_full_rank_ill_conditioned(n), "ill_conditioned", id="qr-fix"),
+        pytest.param(qr_fix, "rank_deficient_ill_conditioned", id="rank-deficient-qr-fix"),
+    ]
+
+
+class TestConcurrentBlockPolars:
+    """From csdk.csd._CONCURRENT_MIN_N columns up, the top block's polar
+    runs on a worker thread while the calling thread runs the bottom's."""
+
+    @pytest.mark.parametrize("method", ROUTES)
+    @pytest.mark.parametrize("a, iterative_branch", _concurrency_inputs())
+    def test_bitwise_equal_to_sequential(self, monkeypatch, method, a, iterative_branch):
+        results = []
+        for threshold in (1, 10**9):
+            monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", threshold)
+            results.append(csd(a, a.shape[1], CsdOptions(polar_method=method)))
+        concurrent, sequential = results
+        for field in ("u1", "u2", "v1", "c", "s", "theta"):
+            np.testing.assert_array_equal(
+                getattr(concurrent, field), getattr(sequential, field), err_msg=field
+            )
+        assert concurrent.rank == sequential.rank
+        assert concurrent.branch == sequential.branch
+        if iterative_branch is not None and method != "svd":
+            assert concurrent.branch == iterative_branch
+
+    @pytest.mark.parametrize("threshold, uses_worker", [(16, True), (17, False)])
+    def test_worker_only_from_the_threshold_up(self, monkeypatch, threshold, uses_worker):
+        submitted = []
+        pool = csdk_csd._worker_pool
+
+        def recording_pool():
+            submitted.append(True)
+            return pool()
+
+        monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", threshold)
+        monkeypatch.setattr(csdk_csd, "_worker_pool", recording_pool)
+        csd(gen_haar_stiefel(32, 16, seed=5), 16)
+        assert bool(submitted) == uses_worker
+
+    @pytest.mark.parametrize(
+        "failing, raised",
+        [
+            ({"top", "bottom"}, "top"),
+            ({"top"}, "top"),
+            ({"bottom"}, "bottom"),
+        ],
+        ids=["both-fail", "top-fails", "bottom-fails"],
+    )
+    def test_errors_are_deterministic(self, monkeypatch, failing, raised):
+        # The top block's error wins, as when the blocks run in turn, and
+        # the worker has finished before csd returns, so none of its work
+        # spills into the next call.
+        n, m1 = 4, 5
+        top_done = threading.Event()
+        polar_for_block = csdk_csd._polar_for_block
+
+        def blocks(block, opts, rank):
+            side = "top" if block.shape[0] == m1 else "bottom"
+            if side == "top":
+                # The top block finishes well after the bottom one fails.
+                time.sleep(0.2)
+                top_done.set()
+            if side in failing:
+                raise RuntimeError(side)
+            return polar_for_block(block, opts, rank)
+
+        monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", 1)
+        monkeypatch.setattr(csdk_csd, "_polar_for_block", blocks)
+        a = gen_haar_stiefel(m1 + 7, n, seed=6)
+        with pytest.raises(RuntimeError, match=f"^{raised}$"):
+            csd(a, m1)
+        assert top_done.is_set()
+
+    def test_worker_sees_the_callers_numpy_error_state(self, monkeypatch):
+        # Only the top block, on the worker, divides by zero.
+        n, m1 = 4, 5
+        polar_for_block = csdk_csd._polar_for_block
+
+        def dividing(block, opts, rank):
+            if block.shape[0] == m1:
+                np.divide(1.0, np.zeros(1))
+            return polar_for_block(block, opts, rank)
+
+        monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", 1)
+        monkeypatch.setattr(csdk_csd, "_polar_for_block", dividing)
+        a = gen_haar_stiefel(m1 + 7, n, seed=8)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            csd(a, m1)
+
+    def test_forked_child_runs_the_concurrent_path(self):
+        # A forked child inherits the parent's pool but not its thread; a
+        # pool kept across the fork would hang the child's first call.
+        root = Path(__file__).resolve().parents[1]
+        script = textwrap.dedent(
+            """
+            import importlib, os, signal
+            import numpy as np
+            from csdk.testgen import gen_haar_stiefel
+
+            csd_mod = importlib.import_module("csdk.csd")
+            csd_mod._CONCURRENT_MIN_N = 1
+            a = gen_haar_stiefel(16, 8, seed=7)
+            before = csd_mod.csd(a, 8)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)  # a hung child dies instead of lingering
+                after = csd_mod.csd(a, 8)
+                os._exit(0 if np.array_equal(after.u1, before.u1) else 1)
+            _, status = os.waitpid(pid, 0)
+            raise SystemExit(os.waitstatus_to_exitcode(status))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
