@@ -14,8 +14,8 @@ at full rank; below it mu = 2 moves the null space's eigenvalue to 2,
 cleanly separated from the [-1, 1] band of the active angles.
 
 The two polar decompositions are independent of each other, so on large
-inputs they run concurrently, with the same results bit for bit
-(`_block_polars`).
+inputs, where BLAS runs one thread and a second core is free, they run
+concurrently, with the same results bit for bit (`_block_polars`).
 
 The decomposition is backward stable whenever the two polar
 decompositions and the eigendecomposition are, so any backward-stable
@@ -47,7 +47,9 @@ from __future__ import annotations
 import contextvars
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections.abc import Mapping
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,18 +91,57 @@ _R_AGREEMENT_FACTOR = 1e3
 # (u/sigma)**2 of U_i orthonormality, which crosses roundoff level near 1e-7.
 _RANK_DEFICIENT_FIX_THRESHOLD = 1e-7
 
-# From this many columns up, the top block's polar runs on a worker thread
-# while the calling thread runs the bottom block's; below it they run in
-# turn.  At one BLAS thread on two cores, running them at once cut the
-# median time per call by a fifth or more at n = 160, 200 and 240 (README).
-# At n = 120 it once cost latency_p90_s on the rank-deficient inputs and
-# 5% more memory, for a gain of a few milliseconds.
-_CONCURRENT_MIN_N = 160
+# From this many columns up, the top block's polar may run on a worker
+# thread while the calling thread runs the bottom block's; below it they
+# run in turn.  In separate processes at one BLAS thread on two cores,
+# running them at once cut the median time per call by 15-26% at every
+# size measured, n = 120 to 240 (README).  Inputs of 120 columns, where
+# perfbench's fullrank-iterative and rank-deficient workloads sit, stay in
+# turn until ten pairs on those workloads decide it (ROADMAP item 2); 140
+# is the smallest size measured above them.
+_CONCURRENT_MIN_N = 140
 
-# The id of the process that started that worker, and the worker's
-# one-thread pool.  A forked child inherits the pool but not its thread, so
-# it starts its own.
-_pool: tuple[int, ThreadPoolExecutor] | None = None
+# The id of the process that started the worker, the worker's one-thread
+# pool, and a lock held while one call uses it.  A forked child inherits
+# the pool but not its thread, and may inherit the lock held, so it starts
+# its own of both.
+_pool: tuple[int, ThreadPoolExecutor, threading.Lock] | None = None
+
+
+def _overlap_pays(environ: Mapping[str, str], cores: int) -> bool:
+    """Whether two blocks' polars running at once beat them in turn.
+
+    Only with one BLAS thread per block and a core for each: with
+    OpenBLAS's default of one thread per core the two threads' BLAS calls
+    share the cores, and running the blocks at once was slower (README).
+    OpenBLAS takes its thread count, once when it loads, from the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS set to a
+    positive number; numpy does not report it, so the same rule is read
+    here.  Any other BLAS, or an unset count, keeps the blocks in turn.
+    """
+    if cores < 2:
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.25 reports no dict
+        return False
+    if "openblas" not in str(blas.get("name", "")).lower():
+        return False
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1
+    return False
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+_OVERLAP_PAYS = _overlap_pays(os.environ, _usable_cores())
 
 
 @dataclass(frozen=True)
@@ -231,6 +272,14 @@ def polar_via_qr_fix(
     return replace(modified, w=w), r_agreement
 
 
+# The polar routines the blocks call, as this module defines or imports
+# them (see _own_polars).
+_OWN_POLARS = {
+    fn.__name__: fn
+    for fn in (polar_svd, polar_iterative, polar_modified, polar_via_qr_fix)
+}
+
+
 def _polar_for_block(
     block: np.ndarray, opts: CsdOptions, rank: int
 ) -> tuple[PolarFactors, bool]:
@@ -269,20 +318,48 @@ def _polar_for_block(
         return polar_svd(block), False
 
 
-def _worker_pool() -> ThreadPoolExecutor:
-    """This process's worker pool, started on first use.
+def _on_worker(fn, *args) -> Future | None:
+    """Start fn(*args) on this process's worker thread, in a copy of the
+    caller's context so that numpy's error state (np.errstate) holds there
+    too.  None if another call is using the worker, so that callers on
+    several threads do not queue behind one worker, or if the interpreter
+    is shutting down and no pool takes work.
 
     Two threads that find no pool at once each start one, and the later is
     kept; the other serves its one call and its thread exits once the pool
-    is collected.  There is no lock: one held by another thread when the
-    process forks would hang the child, and the race costs one spare thread.
+    is collected.  The pool itself is taken without a lock, because one
+    held by another thread when the process forks would hang the child.
     """
     global _pool
     pool = _pool
     if pool is None or pool[0] != os.getpid():
         worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="csdk-polar")
-        pool = _pool = (os.getpid(), worker)
-    return pool[1]
+        pool = _pool = (os.getpid(), worker, threading.Lock())
+    _, worker, busy = pool
+    if not busy.acquire(blocking=False):
+        return None
+
+    def task():
+        try:
+            return fn(*args)
+        finally:
+            busy.release()
+
+    try:
+        return worker.submit(contextvars.copy_context().run, task)
+    except RuntimeError:  # after interpreter shutdown has begun
+        busy.release()
+        return None
+
+
+def _own_polars() -> bool:
+    """Whether this module still calls the polar routines it imported.
+
+    A replacement, such as a profiler's wrapper, need not be safe to run
+    on two threads at once, so the blocks then run in turn.
+    """
+    names = globals()
+    return all(names[name] is fn for name, fn in _OWN_POLARS.items())
 
 
 def _block_polars(
@@ -290,23 +367,23 @@ def _block_polars(
 ) -> tuple[tuple[PolarFactors, bool], tuple[PolarFactors, bool]]:
     """`_polar_for_block` of the top and of the bottom block of A.
 
-    The two are independent, so from _CONCURRENT_MIN_N columns up they run
-    at once, the top block on the worker thread; the results are the same
-    bits either way.  The worker is always waited for, so no call's work
-    outlives it, and if both blocks raise, the top block's error wins, as
-    it does when they run in turn.
+    The two are independent, so from _CONCURRENT_MIN_N columns up, where
+    that pays (_OVERLAP_PAYS), they run at once, the top block on the
+    worker thread; the results are the same bits either way.  The worker
+    is always waited for, so no call's work outlives it, and if both
+    blocks raise, the top block's error wins, as it does in turn.
     """
-    if a.shape[1] < _CONCURRENT_MIN_N:
-        return _polar_for_block(a[:m1], opts, rank), _polar_for_block(a[m1:], opts, rank)
-    # In the caller's context, so numpy's error state (np.errstate) holds
-    # on the worker too.
-    run = contextvars.copy_context().run
-    pending = _worker_pool().submit(run, _polar_for_block, a[:m1], opts, rank)
+    top, bottom = a[:m1], a[m1:]
+    pending = None
+    if a.shape[1] >= _CONCURRENT_MIN_N and _OVERLAP_PAYS and _own_polars():
+        pending = _on_worker(_polar_for_block, top, opts, rank)
+    if pending is None:
+        return _polar_for_block(top, opts, rank), _polar_for_block(bottom, opts, rank)
     try:
-        bottom = _polar_for_block(a[m1:], opts, rank)
+        bottom_result = _polar_for_block(bottom, opts, rank)
     finally:
-        top = pending.result()
-    return top, bottom
+        top_result = pending.result()
+    return top_result, bottom_result
 
 
 def _gated(a: np.ndarray, m1: int) -> tuple[np.ndarray, int]:
@@ -373,9 +450,16 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     value to 1 - O(u).  A block whose r-th singular value is below 1e-7
     additionally gets the QR fix.
 
-    From n = 160 columns up the two blocks' polar decompositions run
-    concurrently, the top block's on a worker thread; the result is bitwise
-    the same, and if both blocks fail the top block's error is raised.
+    From n = 140 columns up the two blocks' polar decompositions run
+    concurrently, the top block's on a worker thread, when OpenBLAS runs
+    one thread (the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS that is set reads 1 when this module is imported) and
+    the process may use two cores or more; with more BLAS threads the two
+    would compete for the cores and run slower.  The
+    result is bitwise the same, and if both blocks fail the top block's
+    error is raised.  The process has one worker: a call that finds it
+    busy with another call's block, or that comes during interpreter
+    shutdown, runs its blocks in turn.
     """
     a, rank = _gated(a, m1)
     n = a.shape[1]

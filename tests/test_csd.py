@@ -891,13 +891,49 @@ def _concurrency_inputs():
     ]
 
 
+@pytest.fixture
+def overlapping(monkeypatch):
+    """The block polars run at once on every input, whatever the host."""
+    monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", 1)
+    monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
+
+
+def _recording_block_threads(monkeypatch, m1: int) -> dict[str, list[str]]:
+    """Patch _polar_for_block to record which thread ran the top and the
+    bottom block of a call split at row m1."""
+    threads: dict[str, list[str]] = {"top": [], "bottom": []}
+    polar_for_block = csdk_csd._polar_for_block
+
+    def recording(block, opts, rank):
+        side = "top" if block.shape[0] == m1 else "bottom"
+        threads[side].append(threading.current_thread().name)
+        return polar_for_block(block, opts, rank)
+
+    monkeypatch.setattr(csdk_csd, "_polar_for_block", recording)
+    return threads
+
+
+def _run_script(script: str) -> subprocess.CompletedProcess:
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestConcurrentBlockPolars:
-    """From csdk.csd._CONCURRENT_MIN_N columns up, the top block's polar
-    runs on a worker thread while the calling thread runs the bottom's."""
+    """From csdk.csd._CONCURRENT_MIN_N columns up, on hosts where it pays,
+    the top block's polar runs on a worker thread while the calling thread
+    runs the bottom's."""
 
     @pytest.mark.parametrize("method", ROUTES)
     @pytest.mark.parametrize("a, iterative_branch", _concurrency_inputs())
     def test_bitwise_equal_to_sequential(self, monkeypatch, method, a, iterative_branch):
+        monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
         results = []
         for threshold in (1, 10**9):
             monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", threshold)
@@ -914,17 +950,102 @@ class TestConcurrentBlockPolars:
 
     @pytest.mark.parametrize("threshold, uses_worker", [(16, True), (17, False)])
     def test_worker_only_from_the_threshold_up(self, monkeypatch, threshold, uses_worker):
-        submitted = []
-        pool = csdk_csd._worker_pool
-
-        def recording_pool():
-            submitted.append(True)
-            return pool()
-
+        monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
         monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", threshold)
-        monkeypatch.setattr(csdk_csd, "_worker_pool", recording_pool)
-        csd(gen_haar_stiefel(32, 16, seed=5), 16)
-        assert bool(submitted) == uses_worker
+        threads = _recording_block_threads(monkeypatch, 16)
+        csd(gen_haar_stiefel(35, 16, seed=5), 16)
+        assert threads["bottom"] == [threading.current_thread().name]
+        (top,) = threads["top"]
+        assert top.startswith("csdk-polar") == uses_worker
+
+    @pytest.mark.parametrize("pays", [True, False])
+    def test_worker_only_where_overlap_pays(self, monkeypatch, pays):
+        monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", 1)
+        monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", pays)
+        threads = _recording_block_threads(monkeypatch, 8)
+        csd(gen_haar_stiefel(19, 8, seed=5), 8)
+        (top,) = threads["top"]
+        assert top.startswith("csdk-polar") == pays
+
+    @pytest.mark.parametrize(
+        "environ, cores, pays",
+        [
+            ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+            ({"OMP_NUM_THREADS": "1"}, 4, True),
+            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+            ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
+            ({"OPENBLAS_NUM_THREADS": "x"}, 2, False),
+            ({}, 2, False),
+        ],
+        ids=[
+            "openblas-1", "omp-1", "goto-before-omp", "one-core", "openblas-2",
+            "openblas-before-omp", "zero-is-unset", "not-a-number", "unset",
+        ],
+    )
+    def test_overlap_pays_with_one_blas_thread_and_two_cores(self, environ, cores, pays):
+        # numpy's wheels ship OpenBLAS; with another BLAS nothing overlaps.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        expected = pays and "openblas" in blas.lower()
+        assert csdk_csd._overlap_pays(environ, cores) is expected
+
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    def test_overlap_follows_the_process_environment(self, blas_threads):
+        proc = _run_script(
+            """
+            import importlib, os
+            for name in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                os.environ.pop(name, None)
+            os.environ["OPENBLAS_NUM_THREADS"] = "%s"
+            csd_mod = importlib.import_module("csdk.csd")
+            print(csd_mod._OVERLAP_PAYS, csd_mod._usable_cores())
+            """ % blas_threads
+        )
+        assert proc.returncode == 0, proc.stderr
+        pays, cores = proc.stdout.split()
+        assert pays == str(blas_threads == "1" and int(cores) >= 2)
+
+    def test_replaced_polar_routine_runs_in_turn(self, overlapping, monkeypatch):
+        # A replacement, say a profiler's wrapper, need not be thread-safe.
+        threads = []
+
+        def recording_polar_svd(block):
+            threads.append(threading.current_thread().name)
+            return polar_svd(block)
+
+        monkeypatch.setattr(csdk_csd, "polar_svd", recording_polar_svd)
+        csd(gen_haar_stiefel(16, 8, seed=5), 8)
+        assert threads == [threading.current_thread().name] * 2
+
+    def test_busy_worker_leaves_other_callers_in_turn(self, overlapping, monkeypatch):
+        # While one call's top block holds the worker, another caller runs
+        # both of its blocks itself instead of queueing behind it.
+        m1 = 5
+        held, release = threading.Event(), threading.Event()
+        threads = _recording_block_threads(monkeypatch, m1)
+        recording = csdk_csd._polar_for_block
+
+        def holding(block, opts, rank):
+            if threading.current_thread().name.startswith("csdk-polar"):
+                held.set()
+                assert release.wait(30)
+            return recording(block, opts, rank)
+
+        monkeypatch.setattr(csdk_csd, "_polar_for_block", holding)
+        first = threading.Thread(target=csd, args=(gen_haar_stiefel(m1 + 7, 4, seed=9), m1))
+        first.start()
+        try:
+            assert held.wait(30)
+            csd(gen_haar_stiefel(12, 4, seed=10), 6)  # blocks of 6 rows: "bottom"
+            caller = threading.current_thread().name
+            assert threads["bottom"].count(caller) == 2
+        finally:
+            release.set()
+            first.join(30)
+        assert threads["top"][0].startswith("csdk-polar")
+        assert not first.is_alive()
 
     @pytest.mark.parametrize(
         "failing, raised",
@@ -935,7 +1056,7 @@ class TestConcurrentBlockPolars:
         ],
         ids=["both-fail", "top-fails", "bottom-fails"],
     )
-    def test_errors_are_deterministic(self, monkeypatch, failing, raised):
+    def test_errors_are_deterministic(self, overlapping, monkeypatch, failing, raised):
         # The top block's error wins, as when the blocks run in turn, and
         # the worker has finished before csd returns, so none of its work
         # spills into the next call.
@@ -953,14 +1074,13 @@ class TestConcurrentBlockPolars:
                 raise RuntimeError(side)
             return polar_for_block(block, opts, rank)
 
-        monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", 1)
         monkeypatch.setattr(csdk_csd, "_polar_for_block", blocks)
         a = gen_haar_stiefel(m1 + 7, n, seed=6)
         with pytest.raises(RuntimeError, match=f"^{raised}$"):
             csd(a, m1)
         assert top_done.is_set()
 
-    def test_worker_sees_the_callers_numpy_error_state(self, monkeypatch):
+    def test_worker_sees_the_callers_numpy_error_state(self, overlapping, monkeypatch):
         # Only the top block, on the worker, divides by zero.
         n, m1 = 4, 5
         polar_for_block = csdk_csd._polar_for_block
@@ -970,7 +1090,6 @@ class TestConcurrentBlockPolars:
                 np.divide(1.0, np.zeros(1))
             return polar_for_block(block, opts, rank)
 
-        monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", 1)
         monkeypatch.setattr(csdk_csd, "_polar_for_block", dividing)
         a = gen_haar_stiefel(m1 + 7, n, seed=8)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
@@ -979,8 +1098,7 @@ class TestConcurrentBlockPolars:
     def test_forked_child_runs_the_concurrent_path(self):
         # A forked child inherits the parent's pool but not its thread; a
         # pool kept across the fork would hang the child's first call.
-        root = Path(__file__).resolve().parents[1]
-        script = textwrap.dedent(
+        proc = _run_script(
             """
             import importlib, os, signal
             import numpy as np
@@ -988,6 +1106,7 @@ class TestConcurrentBlockPolars:
 
             csd_mod = importlib.import_module("csdk.csd")
             csd_mod._CONCURRENT_MIN_N = 1
+            csd_mod._OVERLAP_PAYS = True
             a = gen_haar_stiefel(16, 8, seed=7)
             before = csd_mod.csd(a, 8)
             pid = os.fork()
@@ -999,12 +1118,41 @@ class TestConcurrentBlockPolars:
             raise SystemExit(os.waitstatus_to_exitcode(status))
             """
         )
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
         assert proc.returncode == 0, (proc.returncode, proc.stderr)
+
+    @pytest.mark.parametrize("caller", ["thread", "atexit"])
+    def test_calls_during_interpreter_shutdown_run_in_turn(self, caller):
+        # Once the main thread has finished, thread pools take no new work;
+        # a csd call from a thread still running, or from an atexit handler,
+        # runs its blocks in turn instead of failing.
+        proc = _run_script(
+            """
+            import atexit, importlib, threading
+            import numpy as np
+            from csdk.testgen import gen_haar_stiefel
+
+            csd_mod = importlib.import_module("csdk.csd")
+            csd_mod._CONCURRENT_MIN_N = 1
+            csd_mod._OVERLAP_PAYS = True
+            a = gen_haar_stiefel(16, 8, seed=7)
+            before = csd_mod.csd(a, 8)  # starts the worker
+
+            def late_call():
+                after = csd_mod.csd(a, 8)
+                assert np.array_equal(after.u1, before.u1)
+                print("done")
+
+            def after_main():
+                main = threading.main_thread()
+                while main.is_alive():
+                    main.join(0.01)
+                late_call()
+
+            if "%s" == "thread":
+                threading.Thread(target=after_main).start()
+            else:
+                atexit.register(late_call)
+            """ % caller
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["done"], proc.stderr
