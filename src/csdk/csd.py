@@ -13,9 +13,9 @@ near 0 or pi/2, where diagonalizing H1 or H2 directly is hopeless.  mu = 0
 at full rank; below it mu = 2 moves the null space's eigenvalue to 2,
 cleanly separated from the [-1, 1] band of the active angles.
 
-The two polar decompositions are independent of each other, so on large
-inputs, where BLAS runs one thread and a second core is free, they run
-concurrently, with the same results bit for bit (`_block_polars`).
+The two polar decompositions are independent, so on large inputs, where
+BLAS runs one thread and a second core is free, they run at once, one on
+a thread started per call (about 0.1 ms), bitwise alike (`_block_polars`).
 
 The decomposition is backward stable whenever the two polar
 decompositions and the eigendecomposition are, so any backward-stable
@@ -47,9 +47,8 @@ from __future__ import annotations
 import contextvars
 import logging
 import os
-import threading
 from collections.abc import Mapping
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,12 +99,6 @@ _RANK_DEFICIENT_FIX_THRESHOLD = 1e-7
 # turn until ten pairs on those workloads decide it (ROADMAP item 2); 140
 # is the smallest size measured above them.
 _CONCURRENT_MIN_N = 140
-
-# The id of the process that started the worker, the worker's one-thread
-# pool, and a lock held while one call uses it.  A forked child inherits
-# the pool but not its thread, and may inherit the lock held, so it starts
-# its own of both.
-_pool: tuple[int, ThreadPoolExecutor, threading.Lock] | None = None
 
 
 def _overlap_pays(environ: Mapping[str, str], cores: int) -> bool:
@@ -318,40 +311,6 @@ def _polar_for_block(
         return polar_svd(block), False
 
 
-def _on_worker(fn, *args) -> Future | None:
-    """Start fn(*args) on this process's worker thread, in a copy of the
-    caller's context so that numpy's error state (np.errstate) holds there
-    too.  None if another call is using the worker, so that callers on
-    several threads do not queue behind one worker, or if the interpreter
-    is shutting down and no pool takes work.
-
-    Two threads that find no pool at once each start one, and the later is
-    kept; the other serves its one call and its thread exits once the pool
-    is collected.  The pool itself is taken without a lock, because one
-    held by another thread when the process forks would hang the child.
-    """
-    global _pool
-    pool = _pool
-    if pool is None or pool[0] != os.getpid():
-        worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="csdk-polar")
-        pool = _pool = (os.getpid(), worker, threading.Lock())
-    _, worker, busy = pool
-    if not busy.acquire(blocking=False):
-        return None
-
-    def task():
-        try:
-            return fn(*args)
-        finally:
-            busy.release()
-
-    try:
-        return worker.submit(contextvars.copy_context().run, task)
-    except RuntimeError:  # after interpreter shutdown has begun
-        busy.release()
-        return None
-
-
 def _own_polars() -> bool:
     """Whether this module still calls the polar routines it imported.
 
@@ -368,22 +327,29 @@ def _block_polars(
     """`_polar_for_block` of the top and of the bottom block of A.
 
     The two are independent, so from _CONCURRENT_MIN_N columns up, where
-    that pays (_OVERLAP_PAYS), they run at once, the top block on the
-    worker thread; the results are the same bits either way.  The worker
-    is always waited for, so no call's work outlives it, and if both
-    blocks raise, the top block's error wins, as it does in turn.
+    that pays (_OVERLAP_PAYS), the top block runs on a worker thread
+    started for this call (about 0.1 ms), in a copy of the caller's
+    context so that np.errstate holds there too, while the calling thread
+    runs the bottom block.  The results are the same bits either way.  The
+    worker has exited before this returns, and if both blocks raise, the
+    top block's error wins, as it does in turn.
     """
     top, bottom = a[:m1], a[m1:]
-    pending = None
     if a.shape[1] >= _CONCURRENT_MIN_N and _OVERLAP_PAYS and _own_polars():
-        pending = _on_worker(_polar_for_block, top, opts, rank)
-    if pending is None:
-        return _polar_for_block(top, opts, rank), _polar_for_block(bottom, opts, rank)
-    try:
-        bottom_result = _polar_for_block(bottom, opts, rank)
-    finally:
-        top_result = pending.result()
-    return top_result, bottom_result
+        with ThreadPoolExecutor(1, thread_name_prefix="csdk-polar") as worker:
+            try:
+                pending = worker.submit(
+                    contextvars.copy_context().run, _polar_for_block, top, opts, rank
+                )
+            except RuntimeError:  # after interpreter shutdown has begun
+                pass
+            else:
+                try:
+                    bottom_result = _polar_for_block(bottom, opts, rank)
+                finally:
+                    top_result = pending.result()
+                return top_result, bottom_result
+    return _polar_for_block(top, opts, rank), _polar_for_block(bottom, opts, rank)
 
 
 def _gated(a: np.ndarray, m1: int) -> tuple[np.ndarray, int]:
@@ -451,15 +417,14 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     additionally gets the QR fix.
 
     From n = 140 columns up the two blocks' polar decompositions run
-    concurrently, the top block's on a worker thread, when OpenBLAS runs
-    one thread (the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS that is set reads 1 when this module is imported) and
-    the process may use two cores or more; with more BLAS threads the two
-    would compete for the cores and run slower.  The
-    result is bitwise the same, and if both blocks fail the top block's
-    error is raised.  The process has one worker: a call that finds it
-    busy with another call's block, or that comes during interpreter
-    shutdown, runs its blocks in turn.
+    concurrently, the top block's on a worker thread started for the call
+    (about 0.1 ms), when OpenBLAS runs one thread (the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that is set
+    reads 1 when this module is imported) and the process may use two
+    cores or more; with more BLAS threads the two would compete for the
+    cores and run slower.  The result is bitwise the same, and if both
+    blocks fail the top block's error is raised.  A call made during
+    interpreter shutdown runs its blocks in turn.
     """
     a, rank = _gated(a, m1)
     n = a.shape[1]

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceError
 from .kernel import (
@@ -79,6 +78,9 @@ def spectral_split(
     B - s*I to converge.  When a dict is passed as diagnostics it receives
     the projector and decoupling defects of this split.
     """
+    # Imported here, its only use, so that importing csdk loads no scipy.
+    import scipy.linalg
+
     bh = np.asarray(b, dtype=np.complex128)
     n = bh.shape[0]
     shifted = bh - s * np.eye(n)

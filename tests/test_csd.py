@@ -925,6 +925,19 @@ def _run_script(script: str) -> subprocess.CompletedProcess:
     )
 
 
+def test_importing_csdk_loads_no_scipy():
+    # csd calls no scipy code; only SDC's spectral_split imports it.
+    proc = _run_script(
+        """
+        import sys
+        import csdk
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+
+
 class TestConcurrentBlockPolars:
     """From csdk.csd._CONCURRENT_MIN_N columns up, on hosts where it pays,
     the top block's polar runs on a worker thread while the calling thread
@@ -1019,33 +1032,44 @@ class TestConcurrentBlockPolars:
         csd(gen_haar_stiefel(16, 8, seed=5), 8)
         assert threads == [threading.current_thread().name] * 2
 
-    def test_busy_worker_leaves_other_callers_in_turn(self, overlapping, monkeypatch):
-        # While one call's top block holds the worker, another caller runs
-        # both of its blocks itself instead of queueing behind it.
-        m1 = 5
+    def test_callers_do_not_queue_behind_each_other(self, overlapping, monkeypatch):
+        # While one call's top block holds its worker, another caller's call
+        # completes, its top block on a worker thread of its own.  Blocks
+        # are told apart by their row counts: 5 and 7 in the first call, 6
+        # and 8 in the second.
         held, release = threading.Event(), threading.Event()
-        threads = _recording_block_threads(monkeypatch, m1)
-        recording = csdk_csd._polar_for_block
+        threads = {}
+        polar_for_block = csdk_csd._polar_for_block
 
         def holding(block, opts, rank):
-            if threading.current_thread().name.startswith("csdk-polar"):
+            threads[block.shape[0]] = threading.current_thread()
+            if block.shape[0] == 5:
                 held.set()
                 assert release.wait(30)
-            return recording(block, opts, rank)
+            return polar_for_block(block, opts, rank)
 
         monkeypatch.setattr(csdk_csd, "_polar_for_block", holding)
-        first = threading.Thread(target=csd, args=(gen_haar_stiefel(m1 + 7, 4, seed=9), m1))
+        first = threading.Thread(target=csd, args=(gen_haar_stiefel(12, 4, seed=9), 5))
         first.start()
         try:
             assert held.wait(30)
-            csd(gen_haar_stiefel(12, 4, seed=10), 6)  # blocks of 6 rows: "bottom"
-            caller = threading.current_thread().name
-            assert threads["bottom"].count(caller) == 2
+            csd(gen_haar_stiefel(14, 4, seed=10), 6)
+            assert threads[8] is threading.current_thread()
+            assert threads[6].name.startswith("csdk-polar")
+            assert threads[6] is not threads[5]
         finally:
             release.set()
             first.join(30)
-        assert threads["top"][0].startswith("csdk-polar")
+        assert threads[5].name.startswith("csdk-polar")
         assert not first.is_alive()
+
+    def test_no_worker_outlives_the_call(self, overlapping, monkeypatch):
+        threads = _recording_block_threads(monkeypatch, 8)
+        csd(gen_haar_stiefel(19, 8, seed=5), 8)
+        (top,) = threads["top"]
+        assert top.startswith("csdk-polar")
+        alive = [t.name for t in threading.enumerate()]
+        assert not [name for name in alive if name.startswith("csdk-polar")], alive
 
     @pytest.mark.parametrize(
         "failing, raised",
