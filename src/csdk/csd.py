@@ -13,9 +13,12 @@ near 0 or pi/2, where diagonalizing H1 or H2 directly is hopeless.  mu = 0
 at full rank; below it mu = 2 moves the null space's eigenvalue to 2,
 cleanly separated from the [-1, 1] band of the active angles.
 
-The two polar decompositions are independent, so on large inputs, where
-BLAS runs one thread and a second core is free, they run at once, one on
-a thread started per call (about 0.1 ms), bitwise alike (`_block_polars`).
+The two polar decompositions are independent, so where BLAS runs one
+thread and a second core is free they run at once, one on a thread
+started per call, bitwise alike (`_block_polars`).  That pays once each
+block's polar outlasts the fixed cost of the per-call worker, so the
+size from which it happens depends on the polar route's work per block:
+n = 90 on zolo, 100 on qdwh and 140 on svd.
 
 The decomposition is backward stable whenever the two polar
 decompositions and the eigendecomposition are, so any backward-stable
@@ -90,15 +93,18 @@ _R_AGREEMENT_FACTOR = 1e3
 # (u/sigma)**2 of U_i orthonormality, which crosses roundoff level near 1e-7.
 _RANK_DEFICIENT_FIX_THRESHOLD = 1e-7
 
-# From this many columns up, the top block's polar may run on a worker
-# thread while the calling thread runs the bottom block's; below it they
-# run in turn.  In separate processes at one BLAS thread on two cores,
-# running them at once cut the median time per call by 15-26% at every
-# size measured, n = 120 to 240 (README).  Inputs of 120 columns, where
-# perfbench's fullrank-iterative and rank-deficient workloads sit, stay in
-# turn until ten pairs on those workloads decide it (ROADMAP item 2); 140
-# is the smallest size measured above them.
-_CONCURRENT_MIN_N = 140
+# From this many columns up, per polar route, the top block's polar may
+# run on a worker thread while the calling thread runs the bottom block's;
+# below it they run in turn.  Overlap pays once each block's polar runs
+# long enough to outweigh the fixed cost of a worker started per call, so
+# the route's work per block sets the size, not n alone: at n = 120 a
+# block takes about 4 ms on svd, 9-11 ms on qdwh and 12-21 ms on zolo.
+# Each entry is the smallest n measured at which at least four in five
+# separate processes, at one BLAS thread on two cores, ran faster at both
+# p50 and p90 with the blocks at once (README).  svd met that at n = 120
+# too, but in perfbench pairs on rank-deficient its latency_p50_s gained
+# in fewer than nine pairs in ten, so svd keeps 140.
+_CONCURRENT_MIN_N = {"svd": 140, "qdwh": 100, "zolo": 90}
 
 
 def _overlap_pays(environ: Mapping[str, str], cores: int) -> bool:
@@ -326,16 +332,22 @@ def _block_polars(
 ) -> tuple[tuple[PolarFactors, bool], tuple[PolarFactors, bool]]:
     """`_polar_for_block` of the top and of the bottom block of A.
 
-    The two are independent, so from _CONCURRENT_MIN_N columns up, where
-    that pays (_OVERLAP_PAYS), the top block runs on a worker thread
-    started for this call (about 0.1 ms), in a copy of the caller's
-    context so that np.errstate holds there too, while the calling thread
-    runs the bottom block.  The results are the same bits either way.  The
+    The two are independent, so from _CONCURRENT_MIN_N[opts.polar_method]
+    columns up, the size at which one block's polar on that route
+    outlasts the fixed cost of a worker started per call, and where BLAS
+    leaves a core free (_OVERLAP_PAYS), the top block runs on a worker
+    thread started for this call, in a copy of the caller's context so
+    that np.errstate holds there too, while the calling thread runs the
+    bottom block.  The results are the same bits either way.  The
     worker has exited before this returns, and if both blocks raise, the
     top block's error wins, as it does in turn.
     """
     top, bottom = a[:m1], a[m1:]
-    if a.shape[1] >= _CONCURRENT_MIN_N and _OVERLAP_PAYS and _own_polars():
+    if (
+        a.shape[1] >= _CONCURRENT_MIN_N[opts.polar_method]
+        and _OVERLAP_PAYS
+        and _own_polars()
+    ):
         with ThreadPoolExecutor(1, thread_name_prefix="csdk-polar") as worker:
             try:
                 pending = worker.submit(
@@ -416,9 +428,10 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     value to 1 - O(u).  A block whose r-th singular value is below 1e-7
     additionally gets the QR fix.
 
-    From n = 140 columns up the two blocks' polar decompositions run
-    concurrently, the top block's on a worker thread started for the call
-    (about 0.1 ms), when OpenBLAS runs one thread (the first of
+    From n = 90 columns up on zolo, 100 on qdwh and 140 on svd, where each
+    block's polar outlasts the cost of a worker started for the call, the
+    two blocks' polar decompositions run concurrently, the top block's on
+    that worker, when OpenBLAS runs one thread (the first of
     OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that is set
     reads 1 when this module is imported) and the process may use two
     cores or more; with more BLAS threads the two would compete for the

@@ -891,10 +891,16 @@ def _concurrency_inputs():
     ]
 
 
+def _concurrent_from(monkeypatch, n: int) -> None:
+    """Let the block polars overlap from n columns up on every route."""
+    for method in csdk_csd._CONCURRENT_MIN_N:
+        monkeypatch.setitem(csdk_csd._CONCURRENT_MIN_N, method, n)
+
+
 @pytest.fixture
 def overlapping(monkeypatch):
     """The block polars run at once on every input, whatever the host."""
-    monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", 1)
+    _concurrent_from(monkeypatch, 1)
     monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
 
 
@@ -939,9 +945,9 @@ def test_importing_csdk_loads_no_scipy():
 
 
 class TestConcurrentBlockPolars:
-    """From csdk.csd._CONCURRENT_MIN_N columns up, on hosts where it pays,
-    the top block's polar runs on a worker thread while the calling thread
-    runs the bottom's."""
+    """From csdk.csd._CONCURRENT_MIN_N columns up, a minimum per polar
+    route, on hosts where it pays, the top block's polar runs on a worker
+    thread while the calling thread runs the bottom's."""
 
     @pytest.mark.parametrize("method", ROUTES)
     @pytest.mark.parametrize("a, iterative_branch", _concurrency_inputs())
@@ -949,7 +955,7 @@ class TestConcurrentBlockPolars:
         monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
         results = []
         for threshold in (1, 10**9):
-            monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", threshold)
+            _concurrent_from(monkeypatch, threshold)
             results.append(csd(a, a.shape[1], CsdOptions(polar_method=method)))
         concurrent, sequential = results
         for field in ("u1", "u2", "v1", "c", "s", "theta"):
@@ -964,16 +970,31 @@ class TestConcurrentBlockPolars:
     @pytest.mark.parametrize("threshold, uses_worker", [(16, True), (17, False)])
     def test_worker_only_from_the_threshold_up(self, monkeypatch, threshold, uses_worker):
         monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
-        monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", threshold)
+        _concurrent_from(monkeypatch, threshold)
         threads = _recording_block_threads(monkeypatch, 16)
         csd(gen_haar_stiefel(35, 16, seed=5), 16)
         assert threads["bottom"] == [threading.current_thread().name]
         (top,) = threads["top"]
         assert top.startswith("csdk-polar") == uses_worker
 
+    @pytest.mark.parametrize(
+        "method, uses_worker", [("qdwh", True), ("zolo", True), ("svd", False)]
+    )
+    def test_routes_with_long_blocks_overlap_at_n_120(
+        self, monkeypatch, method, uses_worker
+    ):
+        # The thresholds as shipped: at n = 120 a sign-iteration block runs
+        # long enough to pay for a worker, an SVD block does not.
+        monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
+        threads = _recording_block_threads(monkeypatch, 120)
+        csd(gen_haar_stiefel(241, 120, seed=5), 120, CsdOptions(polar_method=method))
+        assert threads["bottom"] == [threading.current_thread().name]
+        (top,) = threads["top"]
+        assert top.startswith("csdk-polar") == uses_worker
+
     @pytest.mark.parametrize("pays", [True, False])
     def test_worker_only_where_overlap_pays(self, monkeypatch, pays):
-        monkeypatch.setattr(csdk_csd, "_CONCURRENT_MIN_N", 1)
+        _concurrent_from(monkeypatch, 1)
         monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", pays)
         threads = _recording_block_threads(monkeypatch, 8)
         csd(gen_haar_stiefel(19, 8, seed=5), 8)
@@ -1129,7 +1150,7 @@ class TestConcurrentBlockPolars:
             from csdk.testgen import gen_haar_stiefel
 
             csd_mod = importlib.import_module("csdk.csd")
-            csd_mod._CONCURRENT_MIN_N = 1
+            csd_mod._CONCURRENT_MIN_N = dict.fromkeys(csd_mod._CONCURRENT_MIN_N, 1)
             csd_mod._OVERLAP_PAYS = True
             a = gen_haar_stiefel(16, 8, seed=7)
             before = csd_mod.csd(a, 8)
@@ -1156,7 +1177,7 @@ class TestConcurrentBlockPolars:
             from csdk.testgen import gen_haar_stiefel
 
             csd_mod = importlib.import_module("csdk.csd")
-            csd_mod._CONCURRENT_MIN_N = 1
+            csd_mod._CONCURRENT_MIN_N = dict.fromkeys(csd_mod._CONCURRENT_MIN_N, 1)
             csd_mod._OVERLAP_PAYS = True
             a = gen_haar_stiefel(16, 8, seed=7)
             before = csd_mod.csd(a, 8)  # starts the worker
