@@ -13,18 +13,23 @@ near 0 or pi/2, where diagonalizing H1 or H2 directly is hopeless.  mu = 0
 at full rank; below it mu = 2 moves the null space's eigenvalue to 2,
 cleanly separated from the [-1, 1] band of the active angles.
 
-The two polar decompositions are independent, so where BLAS runs one
-thread and a second core is free they run at once, one on a thread
-started per call, bitwise alike (`_block_polars`).  That pays once each
-block's polar outlasts the fixed cost of the per-call worker, so the
-size from which it happens depends on the polar route's work per block:
-n = 90 on zolo, 100 on qdwh and 140 on svd.
+The two polar decompositions are independent, and on the default svd
+route, whose blocks read no rank, so are the distance gate and the
+eigensolve at mu = 0.  So where BLAS runs one thread and a second core
+is free, a worker thread started per call runs the top block's polar,
+then the svd route's gate, then the top half of the finish, while the
+calling thread runs the bottom block's polar, the eigensolve and the
+bottom half, bitwise alike (`_csd_on_two_threads`).  That pays once the
+worker's share outlasts its fixed cost per call, so the size from which
+it happens depends on the polar route's work per block: n = 90 on zolo,
+100 on qdwh and 140 on svd.
 
 The decomposition is backward stable whenever the two polar
 decompositions and the eigendecomposition are, so any backward-stable
 Hermitian eigensolver serves.  Every polar route uses LAPACK's
-(`symeig_direct`); the spectral divide-and-conquer solver stays
-standalone in `csdk.symeig`.  The whole path runs on numpy's LAPACK.
+(`symeig_direct`, or `symeig_hermitian` on B built exactly Hermitian);
+the spectral divide-and-conquer solver stays standalone in
+`csdk.symeig`.  The whole path runs on numpy's LAPACK.
 
 The same theorem lets the polar route be picked on speed alone.  The
 default, "svd", takes each block's polar factors from one full SVD of the
@@ -48,10 +53,11 @@ the nonnegative-diagonal QR convention.
 from __future__ import annotations
 
 import contextvars
+import functools
 import logging
 import os
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,7 +77,7 @@ from .kernel import (
 )
 from .isometry import dist_from_singular_values
 from .polar import EPSILON, PolarFactors, polar_iterative, polar_modified, polar_svd
-from .symeig import symeig_direct
+from .symeig import symeig_direct, symeig_hermitian
 
 # Not called here, but perfbench/layers.py looks these names up in this
 # module; it also wraps cs_from_lambda, defined below.
@@ -93,9 +99,9 @@ _R_AGREEMENT_FACTOR = 1e3
 # (u/sigma)**2 of U_i orthonormality, which crosses roundoff level near 1e-7.
 _RANK_DEFICIENT_FIX_THRESHOLD = 1e-7
 
-# From this many columns up, per polar route, the top block's polar may
-# run on a worker thread while the calling thread runs the bottom block's;
-# below it they run in turn.  Overlap pays once each block's polar runs
+# From this many columns up, per polar route, a call may run on two
+# threads (`_csd_on_two_threads`); below it every step runs in turn, the
+# blocks' polars included.  Overlap pays once each block's polar runs
 # long enough to outweigh the fixed cost of a worker started per call, so
 # the route's work per block sets the size, not n alone: at n = 120 a
 # block takes about 4 ms on svd, 9-11 ms on qdwh and 12-21 ms on zolo.
@@ -209,9 +215,11 @@ def extract_cs(
     discarded; true entries are cosines and sines, so the clamp only moves
     values by O(u).
     """
-    c = np.real(np.sum(np.conj(v1) * (h1 @ v1), axis=0))
-    s = np.real(np.sum(np.conj(v1) * (h2 @ v1), axis=0))
-    return np.clip(c, 0.0, 1.0), np.clip(s, 0.0, 1.0)
+    return _projected_diagonal(v1, h1), _projected_diagonal(v1, h2)
+
+
+def _projected_diagonal(v1: np.ndarray, h: np.ndarray) -> np.ndarray:
+    return np.clip(np.real(np.sum(np.conj(v1) * (h @ v1), axis=0)), 0.0, 1.0)
 
 
 def postprocess_trig(
@@ -280,10 +288,11 @@ _OWN_POLARS = {
 
 
 def _polar_for_block(
-    block: np.ndarray, opts: CsdOptions, rank: int
+    block: np.ndarray, opts: CsdOptions, rank: int | None
 ) -> tuple[PolarFactors, bool]:
     """Polar factors of one block of A, plus whether the QR-fix route was
-    taken.  The svd route reads no singular values; the others read the
+    taken.  The svd route reads neither singular values nor the rank,
+    which `csd` may not know yet there (None); the others read the
     block's, one values-only SVD, against the thresholds `csd` documents,
     and hand the largest (and, at full rank, the smallest) to the polar
     routine.  This is the only place that decides which blocks take the QR
@@ -321,56 +330,15 @@ def _own_polars() -> bool:
     """Whether this module still calls the polar routines it imported.
 
     A replacement, such as a profiler's wrapper, need not be safe to run
-    on two threads at once, so the blocks then run in turn.
+    on two threads at once, so the call then runs on one.
     """
     names = globals()
     return all(names[name] is fn for name, fn in _OWN_POLARS.items())
 
 
-def _block_polars(
-    a: np.ndarray, m1: int, opts: CsdOptions, rank: int
-) -> tuple[tuple[PolarFactors, bool], tuple[PolarFactors, bool]]:
-    """`_polar_for_block` of the top and of the bottom block of A.
-
-    The two are independent, so from _CONCURRENT_MIN_N[opts.polar_method]
-    columns up, the size at which one block's polar on that route
-    outlasts the fixed cost of a worker started per call, and where BLAS
-    leaves a core free (_OVERLAP_PAYS), the top block runs on a worker
-    thread started for this call, in a copy of the caller's context so
-    that np.errstate holds there too, while the calling thread runs the
-    bottom block.  The results are the same bits either way.  The
-    worker has exited before this returns, and if both blocks raise, the
-    top block's error wins, as it does in turn.
-    """
-    top, bottom = a[:m1], a[m1:]
-    if (
-        a.shape[1] >= _CONCURRENT_MIN_N[opts.polar_method]
-        and _OVERLAP_PAYS
-        and _own_polars()
-    ):
-        with ThreadPoolExecutor(1, thread_name_prefix="csdk-polar") as worker:
-            try:
-                pending = worker.submit(
-                    contextvars.copy_context().run, _polar_for_block, top, opts, rank
-                )
-            except RuntimeError:  # after interpreter shutdown has begun
-                pass
-            else:
-                try:
-                    bottom_result = _polar_for_block(bottom, opts, rank)
-                finally:
-                    top_result = pending.result()
-                return top_result, bottom_result
-    return _polar_for_block(top, opts, rank), _polar_for_block(bottom, opts, rank)
-
-
-def _gated(a: np.ndarray, m1: int) -> tuple[np.ndarray, int]:
-    """Validate A and its split at row m1; return A as complex128 and its rank.
-
-    One values-only SVD decides both the distance gate and the rank: d(A) =
-    max_i min(sigma_i, |1 - sigma_i|), and inside the gate every sigma_i lies
-    within 0.1 of 0 or of 1, so r = #{sigma_i > 1/2} is unambiguous.
-    """
+def _validated(a: np.ndarray, m1: int) -> np.ndarray:
+    """A as complex128, once its shape, its split at row m1 and its
+    entries are checked."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionError("input must be a matrix")
@@ -384,6 +352,16 @@ def _gated(a: np.ndarray, m1: int) -> tuple[np.ndarray, int]:
         )
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
+    return a
+
+
+def _gated_rank(a: np.ndarray) -> int:
+    """The distance gate and the rank of A, from one values-only SVD.
+
+    d(A) = max_i min(sigma_i, |1 - sigma_i|), and inside the gate every
+    sigma_i lies within 0.1 of 0 or of 1, so r = #{sigma_i > 1/2} is
+    unambiguous.
+    """
     sigma = singular_values(a)
     d = dist_from_singular_values(sigma)
     if d > _DISTANCE_GATE:
@@ -391,11 +369,22 @@ def _gated(a: np.ndarray, m1: int) -> tuple[np.ndarray, int]:
             f"distance to the nearest partial isometry is {d:.3g} > {_DISTANCE_GATE}; "
             "the factorization contract does not cover such inputs"
         )
-    return a, int(np.count_nonzero(sigma > 0.5))
+    return int(np.count_nonzero(sigma > 0.5))
 
 
-def _finish(u1, u2, v1, h1, h2, rank: int, mu: float, branch: str) -> CsdResult:
-    c, s, theta = postprocess_trig(*extract_cs(v1, h1, h2))
+def _branch(mu: float, fixed: bool) -> str:
+    if mu == 0.0:
+        return "ill_conditioned" if fixed else "full_rank"
+    return "rank_deficient_ill_conditioned" if fixed else "rank_deficient"
+
+
+def _finish_half(pf: PolarFactors, v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block's half of the finish: U_i = W_i V1 and diag(V1* H_i V1)."""
+    return pf.w @ v1, _projected_diagonal(v1, pf.h)
+
+
+def _finish(u1, u2, v1, c, s, rank: int, mu: float, branch: str) -> CsdResult:
+    c, s, theta = postprocess_trig(c, s)
     # The eigenvalues of B ascend, but theta read off the projected
     # diagonals can swap neighbours at rounding level when angles cluster.
     order = np.argsort(theta, kind="stable")
@@ -403,6 +392,76 @@ def _finish(u1, u2, v1, h1, h2, rank: int, mu: float, branch: str) -> CsdResult:
         u1[:, order], u2[:, order], c[order], s[order], v1[:, order],
         theta[order], rank, mu, branch,
     )
+
+
+def _handoff(
+    worker: ThreadPoolExecutor, context: contextvars.Context, fn, *args
+) -> Future:
+    """fn(*args) on the worker, in the caller's context so that np.errstate
+    holds there too.  The worker runs one job at a time, so every job can
+    enter the same copy of that context.  Once interpreter shutdown has
+    begun the worker takes no new work, and fn runs on this thread now.
+    """
+    try:
+        return worker.submit(context.run, fn, *args)
+    except RuntimeError:  # after interpreter shutdown has begun
+        done = Future()
+        try:
+            done.set_result(fn(*args))
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
+
+
+def _csd_on_two_threads(
+    a: np.ndarray, m1: int, opts: CsdOptions, worker: ThreadPoolExecutor
+) -> CsdResult:
+    """`csd` of a validated A with the worker's help, bitwise as in turn.
+
+    The worker runs the top block's polar, then on the svd route the
+    distance gate, then the top half of the finish; this thread runs the
+    bottom block's polar, the eigensolve and the bottom half.  Errors are
+    raised as in turn: the gate's first, then the top block's.
+    """
+    handoff = functools.partial(_handoff, worker, contextvars.copy_context())
+    n = a.shape[1]
+    # The svd route's block polars read no rank, so there the gate waits.
+    rank = None if opts.polar_method == "svd" else _gated_rank(a)
+    pending = handoff(_polar_for_block, a[:m1], opts, rank)
+    try:
+        try:
+            pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
+        finally:
+            pf1, fix1 = pending.result()
+    except Exception:
+        if rank is None:
+            _gated_rank(a)  # its error wins over a block's, as in turn
+        raise
+    eig = None
+    if rank is None:
+        # The gate's values-only SVD keeps the GIL throughout, while eigh
+        # releases it, so the gate runs on the worker beside the eigensolve
+        # at mu = 0, which is right at full rank.  B is built exactly
+        # Hermitian first and goes straight to eigh: a numpy call that
+        # waits for the GIL after the handoff waits out the whole gate.
+        b = build_B(pf1.h, pf2.h, a, 0.0)
+        gate = handoff(_gated_rank, a)
+        try:
+            eig = symeig_hermitian(b)
+        except Exception:
+            if gate.result() == n:
+                raise
+        rank = gate.result()
+    mu = 0.0 if rank == n else 2.0
+    if eig is None or mu != 0.0:
+        eig = symeig_hermitian(build_B(pf1.h, pf2.h, a, mu))
+    v1 = eig.v[:, :rank]
+    top_half = handoff(_finish_half, pf1, v1)
+    try:
+        u2, s = _finish_half(pf2, v1)
+    finally:
+        u1, c = top_half.result()
+    return _finish(u1, u2, v1, c, s, rank, mu, _branch(mu, fix1 or fix2))
 
 
 def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
@@ -428,29 +487,40 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     value to 1 - O(u).  A block whose r-th singular value is below 1e-7
     additionally gets the QR fix.
 
-    From n = 90 columns up on zolo, 100 on qdwh and 140 on svd, where each
-    block's polar outlasts the cost of a worker started for the call, the
-    two blocks' polar decompositions run concurrently, the top block's on
-    that worker, when OpenBLAS runs one thread (the first of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that is set
-    reads 1 when this module is imported) and the process may use two
-    cores or more; with more BLAS threads the two would compete for the
-    cores and run slower.  The result is bitwise the same, and if both
-    blocks fail the top block's error is raised.  A call made during
-    interpreter shutdown runs its blocks in turn.
+    From n = 90 columns up on zolo, 100 on qdwh and 140 on svd, where the
+    work a second thread takes over outlasts the cost of a worker started
+    for the call, the call runs on two threads when OpenBLAS runs one
+    (the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS that is set reads 1 when this module is imported) and
+    the process may use two cores or more; with more BLAS threads the two
+    would compete for the cores and run slower.  The worker runs the top
+    block's polar while the calling thread runs the bottom block's.  On
+    svd, whose blocks read no rank, the worker then runs the distance gate
+    while the calling thread eigendecomposes B at mu = 0, and again at
+    mu = 2 only if the rank comes back below n.  Last, the worker forms U1
+    and diag(V1* H1 V1) while the calling thread forms U2 and diag(V1* H2
+    V1).  The result is bitwise the same as in turn, and so is the error
+    raised: the gate's before any block's, the top block's before the
+    bottom's, and that of the mu = 0 eigensolve only at full rank.  The
+    worker has exited before this returns.  A call made during interpreter
+    shutdown runs every job on the calling thread.
     """
-    a, rank = _gated(a, m1)
-    n = a.shape[1]
-    mu = 0.0 if rank == n else 2.0
-    (pf1, fix1), (pf2, fix2) = _block_polars(a, m1, opts, rank)
+    a = _validated(a, m1)
+    if (
+        a.shape[1] >= _CONCURRENT_MIN_N[opts.polar_method]
+        and _OVERLAP_PAYS
+        and _own_polars()
+    ):
+        with ThreadPoolExecutor(1, thread_name_prefix="csdk-polar") as worker:
+            return _csd_on_two_threads(a, m1, opts, worker)
+    rank = _gated_rank(a)
+    mu = 0.0 if rank == a.shape[1] else 2.0
+    pf1, fix1 = _polar_for_block(a[:m1], opts, rank)
+    pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
     v1 = symeig_direct(build_B(pf1.h, pf2.h, a, mu)).v[:, :rank]
-    fixed = fix1 or fix2
-    if mu == 0.0:
-        branch = "ill_conditioned" if fixed else "full_rank"
-    else:
-        branch = "rank_deficient_ill_conditioned" if fixed else "rank_deficient"
     u1, u2 = pf1.w @ v1, pf2.w @ v1
-    return _finish(u1, u2, v1, pf1.h, pf2.h, rank, mu, branch)
+    c, s = extract_cs(v1, pf1.h, pf2.h)
+    return _finish(u1, u2, v1, c, s, rank, mu, _branch(mu, fix1 or fix2))
 
 
 def csd_2x2(

@@ -62,7 +62,13 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
 
 def symeig_direct(b: np.ndarray) -> SymEigResult:
     """Eigendecomposition via LAPACK's tridiagonal-reduction solver."""
-    bh = hermitian_part(np.asarray(b, dtype=np.complex128))
+    return symeig_hermitian(hermitian_part(np.asarray(b, dtype=np.complex128)))
+
+
+def symeig_hermitian(bh: np.ndarray) -> SymEigResult:
+    """`symeig_direct` of a complex B that is already exactly Hermitian,
+    such as `hermitian_part` returns; the same bits, with no numpy call
+    before LAPACK's."""
     lam, v = np.linalg.eigh(bh)
     return SymEigResult(_phase_normalize(v), lam, "direct")
 

@@ -919,6 +919,17 @@ def _recording_block_threads(monkeypatch, m1: int) -> dict[str, list[str]]:
     return threads
 
 
+def _full_or_deficient(n: int, deficient: bool) -> np.ndarray:
+    if deficient:
+        return gen_rank_deficient_haar(n, seed=3)
+    return gen_haar_stiefel(2 * n, n, seed=3)
+
+
+def _assert_no_worker_alive() -> None:
+    alive = [t.name for t in threading.enumerate()]
+    assert not [name for name in alive if name.startswith("csdk-polar")], alive
+
+
 def _run_script(script: str) -> subprocess.CompletedProcess:
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -1089,8 +1100,7 @@ class TestConcurrentBlockPolars:
         csd(gen_haar_stiefel(19, 8, seed=5), 8)
         (top,) = threads["top"]
         assert top.startswith("csdk-polar")
-        alive = [t.name for t in threading.enumerate()]
-        assert not [name for name in alive if name.startswith("csdk-polar")], alive
+        _assert_no_worker_alive()
 
     @pytest.mark.parametrize(
         "failing, raised",
@@ -1124,6 +1134,126 @@ class TestConcurrentBlockPolars:
         with pytest.raises(RuntimeError, match=f"^{raised}$"):
             csd(a, m1)
         assert top_done.is_set()
+
+    @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+    def test_svd_route_gates_on_the_worker_beside_the_eigensolve(
+        self, overlapping, monkeypatch, deficient
+    ):
+        # The svd route's blocks read no rank, so the gate's SVD waits for
+        # the worker while the caller eigendecomposes B at mu = 0; only a
+        # rank below n sends B back to the eigensolver, at mu = 2.
+        n = 8
+        a = _full_or_deficient(n, deficient)
+        gates, eigensolves, mus = [], [], []
+        singular_values = csdk_csd.singular_values
+        symeig_hermitian = csdk_csd.symeig_hermitian
+        build_b = csdk_csd.build_B
+
+        def gate(x):
+            gates.append(threading.current_thread().name)
+            return singular_values(x)
+
+        def eigensolve(b):
+            eigensolves.append(threading.current_thread().name)
+            return symeig_hermitian(b)
+
+        def recording_build_b(h1, h2, x, mu):
+            mus.append(mu)
+            return build_b(h1, h2, x, mu)
+
+        monkeypatch.setattr(csdk_csd, "singular_values", gate)
+        monkeypatch.setattr(csdk_csd, "symeig_hermitian", eigensolve)
+        monkeypatch.setattr(csdk_csd, "build_B", recording_build_b)
+        res = csd(a, n)
+        (gate_thread,) = gates
+        assert gate_thread.startswith("csdk-polar")
+        assert mus == ([0.0, 2.0] if deficient else [0.0])
+        assert eigensolves == [threading.current_thread().name] * len(mus)
+        assert res.rank == (6 if deficient else n)
+
+    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
+    def test_routes_that_read_the_rank_gate_first(self, overlapping, monkeypatch, method):
+        n = 8
+        a = gen_rank_deficient_haar(n, seed=3)
+        calls = []
+        singular_values = csdk_csd.singular_values
+
+        def recording(x):
+            calls.append((x.shape, threading.current_thread().name))
+            return singular_values(x)
+
+        monkeypatch.setattr(csdk_csd, "singular_values", recording)
+        csd(a, n, CsdOptions(polar_method=method))
+        # The gate's SVD of A, on the caller, before either block's.
+        assert calls[0] == (a.shape, threading.current_thread().name)
+        assert [shape for shape, _ in calls[1:]] == [(n, n)] * 2
+
+    @pytest.mark.parametrize("method", ROUTES)
+    @pytest.mark.parametrize(
+        "failing", [set(), {"top"}, {"bottom"}, {"top", "bottom"}],
+        ids=["no-block-fails", "top-fails", "bottom-fails", "both-fail"],
+    )
+    def test_gate_error_wins_over_block_errors(
+        self, overlapping, monkeypatch, method, failing
+    ):
+        # The singular values of 0.7 A are 0.7: d(A) = 0.3 is refused.
+        n, m1 = 4, 5
+        polar_for_block = csdk_csd._polar_for_block
+
+        def blocks(block, opts, rank):
+            if ("top" if block.shape[0] == m1 else "bottom") in failing:
+                raise RuntimeError("block")
+            return polar_for_block(block, opts, rank)
+
+        monkeypatch.setattr(csdk_csd, "_polar_for_block", blocks)
+        a = 0.7 * gen_haar_stiefel(m1 + 7, n, seed=6)
+        with pytest.raises(NotNearIsometryError):
+            csd(a, m1, CsdOptions(polar_method=method))
+        _assert_no_worker_alive()
+
+    @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+    def test_mu_zero_eigensolve_error_counts_only_at_full_rank(
+        self, overlapping, monkeypatch, deficient
+    ):
+        n = 8
+        a = _full_or_deficient(n, deficient)
+        expected = None
+        if deficient:
+            _concurrent_from(monkeypatch, 10**9)
+            expected = csd(a, n)
+            _concurrent_from(monkeypatch, 1)
+        symeig_hermitian = csdk_csd.symeig_hermitian
+        calls = []
+
+        def failing_at_mu_zero(b):
+            calls.append(b)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("eigh failed")
+            return symeig_hermitian(b)
+
+        monkeypatch.setattr(csdk_csd, "symeig_hermitian", failing_at_mu_zero)
+        if not deficient:
+            with pytest.raises(np.linalg.LinAlgError):
+                csd(a, n)
+        else:
+            res = csd(a, n)
+            np.testing.assert_array_equal(res.u1, expected.u1)
+            np.testing.assert_array_equal(res.theta, expected.theta)
+        _assert_no_worker_alive()
+
+    @pytest.mark.parametrize("method", ROUTES)
+    def test_worker_finish_half_error_propagates(self, overlapping, monkeypatch, method):
+        finish_half = csdk_csd._finish_half
+
+        def failing_on_worker(pf, v1):
+            if threading.current_thread().name.startswith("csdk-polar"):
+                raise RuntimeError("finish")
+            return finish_half(pf, v1)
+
+        monkeypatch.setattr(csdk_csd, "_finish_half", failing_on_worker)
+        with pytest.raises(RuntimeError, match="^finish$"):
+            csd(gen_haar_stiefel(16, 8, seed=5), 8, CsdOptions(polar_method=method))
+        _assert_no_worker_alive()
 
     def test_worker_sees_the_callers_numpy_error_state(self, overlapping, monkeypatch):
         # Only the top block, on the worker, divides by zero.
