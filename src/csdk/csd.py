@@ -15,14 +15,17 @@ cleanly separated from the [-1, 1] band of the active angles.
 
 The two polar decompositions are independent, and on the default svd
 route, whose blocks read no rank, so are the distance gate and the
-eigensolve at mu = 0.  So where BLAS runs one thread and a second core
-is free, a worker thread started per call runs the top block's polar,
-then the svd route's gate, then the top half of the finish, while the
-calling thread runs the bottom block's polar, the eigensolve and the
-bottom half, bitwise alike (`_csd_on_two_threads`).  That pays once the
-worker's share outlasts its fixed cost per call, so the size from which
-it happens depends on the polar route's work per block: n = 90 on zolo,
-100 on qdwh and 140 on svd.
+eigensolve at mu = 0.  `csd` has one schedule for every call: it hands
+off the top block's polar, then (with a worker, on svd) the gate, then
+the top half of the finish, and runs the bottom block's polar, the
+eigensolve and the bottom half itself.  Where BLAS runs one thread and a
+second core is free, a worker thread started for the call takes the
+handed-off jobs; elsewhere each runs on the calling thread as it is
+handed off, and the gate runs first.  The worker pays once its share
+outlasts its fixed cost per call, so the size from which it is started
+depends on the polar route's work per block: n = 90 on zolo, 100 on qdwh
+and 140 on svd.
+Either way the result is bitwise the same.
 
 The decomposition is backward stable whenever the two polar
 decompositions and the eigendecomposition are, so any backward-stable
@@ -52,6 +55,7 @@ the nonnegative-diagonal QR convention.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import functools
 import logging
@@ -80,7 +84,7 @@ from .polar import EPSILON, PolarFactors, polar_iterative, polar_modified, polar
 from .symeig import symeig_direct, symeig_hermitian
 
 # Not called here, but perfbench/layers.py looks these names up in this
-# module; it also wraps cs_from_lambda, defined below.
+# module; it also wraps extract_cs and cs_from_lambda, defined below.
 from .isometry import dist_to_partial_isometry  # noqa: F401
 from .kernel import svd_factor  # noqa: F401
 from .symeig import symeig_interval, symeig_sdc  # noqa: F401
@@ -99,12 +103,13 @@ _R_AGREEMENT_FACTOR = 1e3
 # (u/sigma)**2 of U_i orthonormality, which crosses roundoff level near 1e-7.
 _RANK_DEFICIENT_FIX_THRESHOLD = 1e-7
 
-# From this many columns up, per polar route, a call may run on two
-# threads (`_csd_on_two_threads`); below it every step runs in turn, the
-# blocks' polars included.  Overlap pays once each block's polar runs
-# long enough to outweigh the fixed cost of a worker started per call, so
-# the route's work per block sets the size, not n alone: at n = 120 a
-# block takes about 4 ms on svd, 9-11 ms on qdwh and 12-21 ms on zolo.
+# From this many columns up, per polar route, a call may start a worker
+# thread for the jobs its schedule hands off; below it those jobs run on
+# the calling thread, the top block's polar included.  Overlap pays once
+# each block's polar runs long enough to outweigh the fixed cost of a
+# worker started per call, so the route's work per block sets the size,
+# not n alone: at n = 120 a block takes about 4 ms on svd, 9-11 ms on
+# qdwh and 12-21 ms on zolo.
 # Each entry is the smallest n measured at which at least four in five
 # separate processes, at one BLAS thread on two cores, ran faster at both
 # p50 and p90 with the blocks at once (README).  svd met that at n = 120
@@ -395,73 +400,25 @@ def _finish(u1, u2, v1, c, s, rank: int, mu: float, branch: str) -> CsdResult:
 
 
 def _handoff(
-    worker: ThreadPoolExecutor, context: contextvars.Context, fn, *args
+    worker: ThreadPoolExecutor | None, context: contextvars.Context, fn, *args
 ) -> Future:
     """fn(*args) on the worker, in the caller's context so that np.errstate
     holds there too.  The worker runs one job at a time, so every job can
-    enter the same copy of that context.  Once interpreter shutdown has
-    begun the worker takes no new work, and fn runs on this thread now.
+    enter the same copy of that context.  With no worker, or once
+    interpreter shutdown has begun and the worker takes no new work, fn
+    runs on this thread now, into a completed Future.
     """
-    try:
-        return worker.submit(context.run, fn, *args)
-    except RuntimeError:  # after interpreter shutdown has begun
-        done = Future()
+    if worker is not None:
         try:
-            done.set_result(fn(*args))
-        except Exception as exc:
-            done.set_exception(exc)
-        return done
-
-
-def _csd_on_two_threads(
-    a: np.ndarray, m1: int, opts: CsdOptions, worker: ThreadPoolExecutor
-) -> CsdResult:
-    """`csd` of a validated A with the worker's help, bitwise as in turn.
-
-    The worker runs the top block's polar, then on the svd route the
-    distance gate, then the top half of the finish; this thread runs the
-    bottom block's polar, the eigensolve and the bottom half.  Errors are
-    raised as in turn: the gate's first, then the top block's.
-    """
-    handoff = functools.partial(_handoff, worker, contextvars.copy_context())
-    n = a.shape[1]
-    # The svd route's block polars read no rank, so there the gate waits.
-    rank = None if opts.polar_method == "svd" else _gated_rank(a)
-    pending = handoff(_polar_for_block, a[:m1], opts, rank)
+            return worker.submit(context.run, fn, *args)
+        except RuntimeError:  # after interpreter shutdown has begun
+            pass
+    done = Future()
     try:
-        try:
-            pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
-        finally:
-            pf1, fix1 = pending.result()
-    except Exception:
-        if rank is None:
-            _gated_rank(a)  # its error wins over a block's, as in turn
-        raise
-    eig = None
-    if rank is None:
-        # The gate's values-only SVD keeps the GIL throughout, while eigh
-        # releases it, so the gate runs on the worker beside the eigensolve
-        # at mu = 0, which is right at full rank.  B is built exactly
-        # Hermitian first and goes straight to eigh: a numpy call that
-        # waits for the GIL after the handoff waits out the whole gate.
-        b = build_B(pf1.h, pf2.h, a, 0.0)
-        gate = handoff(_gated_rank, a)
-        try:
-            eig = symeig_hermitian(b)
-        except Exception:
-            if gate.result() == n:
-                raise
-        rank = gate.result()
-    mu = 0.0 if rank == n else 2.0
-    if eig is None or mu != 0.0:
-        eig = symeig_hermitian(build_B(pf1.h, pf2.h, a, mu))
-    v1 = eig.v[:, :rank]
-    top_half = handoff(_finish_half, pf1, v1)
-    try:
-        u2, s = _finish_half(pf2, v1)
-    finally:
-        u1, c = top_half.result()
-    return _finish(u1, u2, v1, c, s, rank, mu, _branch(mu, fix1 or fix2))
+        done.set_result(fn(*args))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
 
 
 def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
@@ -487,39 +444,75 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     value to 1 - O(u).  A block whose r-th singular value is below 1e-7
     additionally gets the QR fix.
 
-    From n = 90 columns up on zolo, 100 on qdwh and 140 on svd, where the
-    work a second thread takes over outlasts the cost of a worker started
-    for the call, the call runs on two threads when OpenBLAS runs one
-    (the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS that is set reads 1 when this module is imported) and
-    the process may use two cores or more; with more BLAS threads the two
-    would compete for the cores and run slower.  The worker runs the top
-    block's polar while the calling thread runs the bottom block's.  On
-    svd, whose blocks read no rank, the worker then runs the distance gate
-    while the calling thread eigendecomposes B at mu = 0, and again at
-    mu = 2 only if the rank comes back below n.  Last, the worker forms U1
-    and diag(V1* H1 V1) while the calling thread forms U2 and diag(V1* H2
-    V1).  The result is bitwise the same as in turn, and so is the error
+    Every call runs one schedule: the top block's polar is handed off,
+    then the bottom block's runs, then B is eigendecomposed, then the top
+    half of the finish (U1 and diag(V1* H1 V1)) is handed off and the
+    bottom half formed.  From n = 90 columns up on zolo, 100 on qdwh and
+    140 on svd, where the work a second thread takes over outlasts the
+    cost of a worker started for the call, a worker thread takes the
+    handed-off jobs when OpenBLAS runs one thread (the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that is set
+    reads 1 when this module is imported) and the process may use two
+    cores or more; with more BLAS threads the two would compete for the
+    cores and run slower.  Otherwise, and during interpreter shutdown,
+    each handed-off job runs on the calling thread when it is handed off.
+    With a worker on svd, whose blocks read no rank, the distance gate
+    is handed off too, beside an eigendecomposition of B at mu = 0, which
+    is redone at mu = 2 only if the rank comes back below n; everywhere
+    else the gate runs first and B is eigendecomposed once, at its mu.
+    The result is bitwise the same either way, and so is the error
     raised: the gate's before any block's, the top block's before the
     bottom's, and that of the mu = 0 eigensolve only at full rank.  The
-    worker has exited before this returns.  A call made during interpreter
-    shutdown runs every job on the calling thread.
+    worker has exited before this returns.
     """
     a = _validated(a, m1)
-    if (
-        a.shape[1] >= _CONCURRENT_MIN_N[opts.polar_method]
-        and _OVERLAP_PAYS
-        and _own_polars()
-    ):
-        with ThreadPoolExecutor(1, thread_name_prefix="csdk-polar") as worker:
-            return _csd_on_two_threads(a, m1, opts, worker)
-    rank = _gated_rank(a)
-    mu = 0.0 if rank == a.shape[1] else 2.0
-    pf1, fix1 = _polar_for_block(a[:m1], opts, rank)
-    pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
-    v1 = symeig_direct(build_B(pf1.h, pf2.h, a, mu)).v[:, :rank]
-    u1, u2 = pf1.w @ v1, pf2.w @ v1
-    c, s = extract_cs(v1, pf1.h, pf2.h)
+    n = a.shape[1]
+    if n >= _CONCURRENT_MIN_N[opts.polar_method] and _OVERLAP_PAYS and _own_polars():
+        pool = ThreadPoolExecutor(1, thread_name_prefix="csdk-polar")
+    else:
+        pool = contextlib.nullcontext()
+    with pool as worker:
+        handoff = functools.partial(_handoff, worker, contextvars.copy_context())
+        # The svd route's block polars read no rank, so there a worker can
+        # take the gate later, beside the eigensolve.  Without one the gate
+        # runs first, so that B is eigendecomposed once, at its mu.
+        deferred = worker is not None and opts.polar_method == "svd"
+        rank = None if deferred else _gated_rank(a)
+        pending = handoff(_polar_for_block, a[:m1], opts, rank)
+        try:
+            try:
+                pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
+            finally:
+                pf1, fix1 = pending.result()
+        except Exception:
+            if rank is None:
+                _gated_rank(a)  # its error wins over a block's
+            raise
+        eig = None
+        if rank is None:
+            # The gate's values-only SVD keeps the GIL throughout, while eigh
+            # releases it, so the gate runs on the worker beside the
+            # eigensolve at mu = 0, which is right at full rank.  B is built
+            # exactly Hermitian first and goes straight to eigh: a numpy call
+            # that waits for the GIL after the handoff waits out the whole
+            # gate.
+            b = build_B(pf1.h, pf2.h, a, 0.0)
+            gate = handoff(_gated_rank, a)
+            try:
+                eig = symeig_hermitian(b)
+            except Exception:
+                if gate.result() == n:
+                    raise
+            rank = gate.result()
+        mu = 0.0 if rank == n else 2.0
+        if eig is None or mu != 0.0:
+            eig = symeig_direct(build_B(pf1.h, pf2.h, a, mu))
+        v1 = eig.v[:, :rank]
+        top_half = handoff(_finish_half, pf1, v1)
+        try:
+            u2, s = _finish_half(pf2, v1)
+        finally:
+            u1, c = top_half.result()
     return _finish(u1, u2, v1, c, s, rank, mu, _branch(mu, fix1 or fix2))
 
 

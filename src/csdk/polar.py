@@ -167,13 +167,16 @@ def _apply_schedule(x: np.ndarray, schedule: Schedule, *, hermitian: bool) -> np
         gram = None if use_qr else hermitian_part(x.conj().T @ x)
         acc = x.copy()
         for a_j, pole in zip(fac.residues, fac.poles):
-            if use_qr:
-                root = math.sqrt(pole)
-                stacked = np.vstack([x, root * eye])
-                q, _ = np.linalg.qr(stacked)
-                term = (q[:m] @ q[m:].conj().T) / root
-            else:
-                term = np.linalg.solve(gram + pole * eye, x.conj().T).conj().T
+            try:
+                if use_qr:
+                    root = math.sqrt(pole)
+                    stacked = np.vstack([x, root * eye])
+                    q, _ = np.linalg.qr(stacked)
+                    term = (q[:m] @ q[m:].conj().T) / root
+                else:
+                    term = np.linalg.solve(gram + pole * eye, x.conj().T).conj().T
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"sign iteration round failed: {exc}") from exc
             acc += a_j * term
         x = acc / fac.normalizer
         if hermitian:

@@ -69,7 +69,10 @@ def symeig_hermitian(bh: np.ndarray) -> SymEigResult:
     """`symeig_direct` of a complex B that is already exactly Hermitian,
     such as `hermitian_part` returns; the same bits, with no numpy call
     before LAPACK's."""
-    lam, v = np.linalg.eigh(bh)
+    try:
+        lam, v = np.linalg.eigh(bh)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     return SymEigResult(_phase_normalize(v), lam, "direct")
 
 

@@ -161,18 +161,34 @@ class TestCsdDispatch:
             assert rep.residual_2norm <= 50 * n * U
 
     def test_convergence_failure_falls_back_loudly(self, monkeypatch, caplog):
-        # A block whose iteration fails goes to the SVD polar, and the
-        # switch is logged with its reason.
-        def fail(*args, **kwargs):
-            raise ConvergenceError("forced")
-
-        monkeypatch.setattr(csdk_csd, "polar_iterative", fail)
+        # A block whose iteration fails, or whose round LAPACK refuses, goes
+        # to the SVD polar, and the switch is logged with its reason.  B's
+        # eigensolve has no fallback: its LAPACK failure is raised typed.
         n = 6
         a = gen_haar_stiefel(2 * n, n, seed=3)
-        with caplog.at_level(logging.WARNING, logger="csdk"):
-            res = csd(a, n, CsdOptions(polar_method="qdwh"))
-        assert stability_report(a, res).residual_2norm <= 50 * n * U
-        assert caplog.text.count("falls back to the SVD polar: forced") == 2
+        opts = CsdOptions(polar_method="qdwh")
+        for target, name, raised in (
+            (csdk_csd, "polar_iterative", ConvergenceError),
+            (np.linalg, "solve", np.linalg.LinAlgError),
+            (np.linalg, "eigh", np.linalg.LinAlgError),
+        ):
+
+            def fail(*args, raised=raised, **kwargs):
+                raise raised("forced")
+
+            caplog.clear()
+            with monkeypatch.context() as patch, caplog.at_level(
+                logging.WARNING, logger="csdk"
+            ):
+                patch.setattr(target, name, fail)
+                if name == "eigh":
+                    with pytest.raises(ConvergenceError, match="forced"):
+                        csd(a, n, opts)
+                    continue
+                res = csd(a, n, opts)
+            assert stability_report(a, res).residual_2norm <= 50 * n * U, name
+            fallbacks = caplog.text.count("falls back to the SVD polar: ")
+            assert fallbacks == caplog.text.count("forced") == 2, name
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
@@ -819,7 +835,9 @@ class TestFactorizations:
     @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
     def test_one_direct_eigensolve_on_every_route(self, monkeypatch, method, deficient):
         # The polar route picks only the polar route: B always goes to
-        # LAPACK's eigensolver, once, and no spectral split runs.
+        # LAPACK's eigensolver, once, and no spectral split runs.  With no
+        # worker (n = 12) the gate runs first, so B is eigendecomposed at
+        # its final mu alone, never speculatively at mu = 0.
         n = 12
         if deficient:
             a = gen_rank_deficient_haar(n, seed=2)
@@ -828,8 +846,12 @@ class TestFactorizations:
         counts = _count_calls(
             monkeypatch, ("csdk.csd", "csdk.symeig"), ("symeig_direct", "spectral_split")
         )
+        # symeig_direct calls symeig_hermitian in csdk.symeig, so count the
+        # latter in csdk.csd only.
+        speculative = _count_calls(monkeypatch, ("csdk.csd",), ("symeig_hermitian",))
         csd(a, n, CsdOptions(polar_method=method))
         assert counts == {"symeig_direct": 1, "spectral_split": 0}
+        assert speculative == {"symeig_hermitian": 0}
 
     def test_perfbench_tracer_installs(self):
         # `perfbench/run.py --trace 1` wraps names in csdk.csd, csdk.polar,
@@ -1147,22 +1169,27 @@ class TestConcurrentBlockPolars:
         gates, eigensolves, mus = [], [], []
         singular_values = csdk_csd.singular_values
         symeig_hermitian = csdk_csd.symeig_hermitian
+        symeig_direct = csdk_csd.symeig_direct
         build_b = csdk_csd.build_B
 
         def gate(x):
             gates.append(threading.current_thread().name)
             return singular_values(x)
 
-        def eigensolve(b):
-            eigensolves.append(threading.current_thread().name)
-            return symeig_hermitian(b)
+        def recording(solver):
+            def eigensolve(b):
+                eigensolves.append(threading.current_thread().name)
+                return solver(b)
+
+            return eigensolve
 
         def recording_build_b(h1, h2, x, mu):
             mus.append(mu)
             return build_b(h1, h2, x, mu)
 
         monkeypatch.setattr(csdk_csd, "singular_values", gate)
-        monkeypatch.setattr(csdk_csd, "symeig_hermitian", eigensolve)
+        monkeypatch.setattr(csdk_csd, "symeig_hermitian", recording(symeig_hermitian))
+        monkeypatch.setattr(csdk_csd, "symeig_direct", recording(symeig_direct))
         monkeypatch.setattr(csdk_csd, "build_B", recording_build_b)
         res = csd(a, n)
         (gate_thread,) = gates
