@@ -14,11 +14,19 @@ from typing import Callable
 import numpy as np
 
 from .csd import CsdOptions, csd, csd_2x2
-from .isometry import lemma22_check, lemma23_bound, stability_report
+from .isometry import assemble_2x2, lemma22_check, lemma23_bound, stability_report
 from .kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro, singular_values
 from .polar import canonical_polar, polar_iterative, polar_modified, polar_svd
 from .symeig import symeig_direct, symeig_sdc
-from .testgen import TestCase, bench_sizes, gen_clustered, gen_haar_stiefel, generate, nint
+from .testgen import (
+    TestCase,
+    bench_sizes,
+    gen_clustered,
+    gen_haar_stiefel,
+    gen_with_singular_values,
+    generate,
+    nint,
+)
 
 SIZES = bench_sizes(5)
 SEEDS = (1, 2, 3)
@@ -80,7 +88,6 @@ def _class_rows(classes, noisy_flags, methods):
 
 def _check_stability(classes, ident, title) -> CriterionResult:
     rows = []
-    ok = True
     for cid, noisy, method, n, seed in _class_rows(
         classes, (False, True), _STABILITY_METHODS
     ):
@@ -100,16 +107,14 @@ def _check_stability(classes, ident, title) -> CriterionResult:
         if cid in (3, 4):
             checks.append(("cs_ident", rep.cs_identity_err, 100.0 * U_ROUNDOFF))
             if res.k != nint(3 * n / 4):
-                ok = False
                 rows.append(f"class {case.label} n={n} s={seed} {method}: k={res.k}")
                 continue
         bad = [f"{nm}={val:.3g}>{bnd:.3g}" for nm, val, bnd in checks if val > bnd]
         if bad:
-            ok = False
             rows.append(f"class {case.label} n={n} s={seed} {method}: " + ",".join(bad))
-    detail = "all thresholds met" if ok else _report_lines(rows)
+    detail = "all thresholds met" if not rows else _report_lines(rows)
     count = len(list(_class_rows(classes, (False, True), _STABILITY_METHODS)))
-    return CriterionResult(ident, title, ok, f"{detail} ({count} runs)")
+    return CriterionResult(ident, title, not rows, f"{detail} ({count} runs)")
 
 
 def criterion_2() -> CriterionResult:
@@ -152,9 +157,7 @@ def _conditioned_instance(seed: int):
     m = n + int(rng.integers(0, 3)) * 7
     kappa = 10.0 ** (seed % 9)
     sigma = np.geomspace(1.0, 1.0 / kappa, n)
-    p = gen_haar_stiefel(m, n, seed=seed * 7919 + 1)
-    q = gen_haar_stiefel(n, n, seed=seed * 7919 + 2)
-    return (p * sigma) @ q.conj().T, kappa, m, n
+    return gen_with_singular_values(m, n, sigma, seed * 7919 + 1), kappa, m, n
 
 
 def criterion_5() -> CriterionResult:
@@ -164,7 +167,6 @@ def criterion_5() -> CriterionResult:
     The iterative and fixed-interval routines are told the input's singular
     values, as `csd` tells them a block's."""
     rows = []
-    ok = True
     for seed in range(50):
         a, kappa, m, n = _conditioned_instance(seed)
         bound = 50.0 * n * U_ROUNDOFF * norm_fro(a)
@@ -176,10 +178,8 @@ def criterion_5() -> CriterionResult:
                 pf = polar_iterative(a, sig[0], sig[-1], method=method)
             resid = norm_fro(pf.w @ pf.h - a)
             if resid > bound:
-                ok = False
                 rows.append(f"seed {seed} {method}: resid {resid:.2e} > {bound:.2e}")
             if method == "qdwh" and pf.iterations > 6:
-                ok = False
                 rows.append(f"seed {seed}: {pf.iterations} rounds")
         href = polar_svd(a).h
         for method in ("qdwh", "zolo"):
@@ -187,17 +187,15 @@ def criterion_5() -> CriterionResult:
             dh = norm_fro(pf.h - href)
             dwh = norm_fro(pf.w @ pf.h - a)
             if dh > 1e3 * U_ROUNDOFF or dwh > 1e3 * U_ROUNDOFF:
-                ok = False
                 rows.append(f"seed {seed} modified {method}: dH {dh:.2e}, resid {dwh:.2e}")
-    details = "all 50 instances in contract" if ok else _report_lines(rows)
-    return CriterionResult("5", "polar decomposition contracts", ok, details)
+    details = "all 50 instances in contract" if not rows else _report_lines(rows)
+    return CriterionResult("5", "polar decomposition contracts", not rows, details)
 
 
 def criterion_6() -> CriterionResult:
     """Divide-and-conquer eigenvalues against the direct solver, with the
     projector and decoupling invariants at every split."""
     rows = []
-    ok = True
     rng_sizes = [5, 10, 20, 35, 50, 64, 80, 100]
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
@@ -210,18 +208,15 @@ def criterion_6() -> CriterionResult:
         gap = float(np.max(np.abs(sdc.lam - direct.lam)))
         bound = 1e3 * n * U_ROUNDOFF * norm_2(b)
         if gap > bound:
-            ok = False
             rows.append(f"seed {seed} n={n}: dlam {gap:.2e} > {bound:.2e}")
         for entry in log:
             blk = entry["size"]
             if entry["projector_defect"] > 50.0 * blk * U_ROUNDOFF:
-                ok = False
                 rows.append(f"seed {seed}: projector defect {entry['projector_defect']:.2e}")
             if entry["decoupling"] > 50.0 * blk * U_ROUNDOFF:
-                ok = False
                 rows.append(f"seed {seed}: decoupling {entry['decoupling']:.2e}")
-    details = "50 instances agree; invariants hold" if ok else _report_lines(rows)
-    return CriterionResult("6", "eigensolver oracle equivalence", ok, details)
+    details = "50 instances agree; invariants hold" if not rows else _report_lines(rows)
+    return CriterionResult("6", "eigensolver oracle equivalence", not rows, details)
 
 
 def _lemma_instance(seed: int):
@@ -232,23 +227,19 @@ def _lemma_instance(seed: int):
     sigma = np.zeros(n)
     sigma[:r] = rng.uniform(0.5, 1.5, size=r)
     sigma[: r] = np.sort(sigma[:r])[::-1]
-    p = gen_haar_stiefel(m, n, seed=seed * 104729 + 1)
-    q = gen_haar_stiefel(n, n, seed=seed * 104729 + 2)
-    return (p * sigma) @ q.conj().T, r
+    return gen_with_singular_values(m, n, sigma, seed * 104729 + 1), r
 
 
 def criterion_7() -> CriterionResult:
     """Lemma suite: the exact-rank sandwich in both norms and the eps-rank
     tail bound, 100 seeded instances each."""
     rows = []
-    ok = True
     slack = 1e-13
     for seed in range(100):
         a, _ = _lemma_instance(seed)
         for norm in ("spectral", "frobenius"):
             lo, mid, hi = lemma22_check(a, norm=norm)
             if not (lo <= mid + slack and mid <= hi + slack):
-                ok = False
                 rows.append(f"sandwich seed {seed} {norm}: {lo:.3e},{mid:.3e},{hi:.3e}")
     for seed in range(100):
         base, r = _lemma_instance(seed)
@@ -262,40 +253,29 @@ def criterion_7() -> CriterionResult:
         u, _ = canonical_polar(a, eps)
         actual = norm_2(a - u)
         if actual > bound + slack:
-            ok = False
             rows.append(f"tail seed {seed}: |A-U| {actual:.3e} > bound {bound:.3e}")
-    details = "sandwich and tail bounds hold on all instances" if ok else _report_lines(rows)
-    return CriterionResult("7", "partial-isometry lemma suite", ok, details)
+    details = "sandwich and tail bounds hold on all instances" if not rows else _report_lines(rows)
+    return CriterionResult("7", "partial-isometry lemma suite", not rows, details)
 
 
 def criterion_8() -> CriterionResult:
     """Complete 2x2 decomposition of Haar unitaries reconstructs all four
     blocks and yields an orthonormal V2, on the svd and qdwh routes."""
     rows = []
-    ok = True
     for method in _STABILITY_METHODS:
         for n in (10, 30):
             for seed in SEEDS:
                 a = gen_haar_stiefel(2 * n, 2 * n, seed=seed)
                 res, v2 = csd_2x2(a, CsdOptions(polar_method=method))
-                v1h = res.v1.conj().T
-                v2h = v2.conj().T
-                ahat = np.block(
-                    [
-                        [(res.u1 * res.c) @ v1h, -(res.u1 * res.s) @ v2h],
-                        [(res.u2 * res.s) @ v1h, (res.u2 * res.c) @ v2h],
-                    ]
-                )
-                resid = norm_2(ahat - a)
+                resid = norm_2(assemble_2x2(res, v2) - a)
                 orth = norm_2(v2.conj().T @ v2 - np.eye(n))
                 bound = 50.0 * n * U_ROUNDOFF
                 if resid > bound or orth > bound:
-                    ok = False
                     rows.append(
                         f"{method} n={n} seed {seed}: resid {resid:.2e}, V2 orth {orth:.2e}"
                     )
-    details = "reconstruction and V2 orthogonality within 50nu" if ok else _report_lines(rows)
-    return CriterionResult("8", "complete 2x2 decomposition", ok, details)
+    details = "reconstruction and V2 orthogonality within 50nu" if not rows else _report_lines(rows)
+    return CriterionResult("8", "complete 2x2 decomposition", not rows, details)
 
 
 ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (

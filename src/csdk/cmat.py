@@ -40,6 +40,23 @@ def save_matrix(path, a) -> None:
             fh.write(" ".join(parts) + "\n")
 
 
+def _entries(body: list[str], count: int, is_complex: bool, path) -> np.ndarray:
+    """The count entries of a file body in file order, complex ones read
+    from `<re> <im>` pairs."""
+    expected = count * (2 if is_complex else 1)
+    if len(body) != expected:
+        raise MatrixFormatError(
+            f"{path}: expected {expected} numbers, found {len(body)}"
+        )
+    try:
+        values = np.array([float(tok) for tok in body])
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: non-numeric entry") from exc
+    if is_complex:
+        values = values[0::2] + 1j * values[1::2]
+    return values
+
+
 def _parse_cmat(header: list[str], body: list[str], path) -> np.ndarray:
     if len(header) != 4:
         raise MatrixFormatError(f"{path}: malformed cmat header")
@@ -50,19 +67,7 @@ def _parse_cmat(header: list[str], body: list[str], path) -> np.ndarray:
     kind = header[3]
     if kind not in ("complex", "real") or rows < 0 or cols < 0:
         raise MatrixFormatError(f"{path}: bad cmat header fields")
-    per_entry = 2 if kind == "complex" else 1
-    expected = rows * cols * per_entry
-    if len(body) != expected:
-        raise MatrixFormatError(
-            f"{path}: expected {expected} numbers, found {len(body)}"
-        )
-    try:
-        values = np.array([float(tok) for tok in body])
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: non-numeric entry") from exc
-    if kind == "complex":
-        values = values[0::2] + 1j * values[1::2]
-    return values.reshape(rows, cols)
+    return _entries(body, rows * cols, kind == "complex", path).reshape(rows, cols)
 
 
 def _parse_matrix_market(lines: list[str], path) -> np.ndarray:
@@ -88,17 +93,7 @@ def _parse_matrix_market(lines: list[str], path) -> np.ndarray:
     if rows < 0 or cols < 0:
         raise MatrixFormatError(f"{path}: bad size line {data[0]!r}")
     body = " ".join(data[1:]).split()
-    per_entry = 2 if field == "complex" else 1
-    if len(body) != rows * cols * per_entry:
-        raise MatrixFormatError(
-            f"{path}: expected {rows * cols * per_entry} numbers, found {len(body)}"
-        )
-    try:
-        values = np.array([float(tok) for tok in body])
-    except ValueError as exc:
-        raise MatrixFormatError(f"{path}: non-numeric entry") from exc
-    if field == "complex":
-        values = values[0::2] + 1j * values[1::2]
+    values = _entries(body, rows * cols, field == "complex", path)
     # MatrixMarket array data runs down columns.
     return values.reshape(cols, rows).T
 

@@ -158,13 +158,16 @@ _OVERLAP_PAYS = _overlap_pays(os.environ, _usable_cores())
 class CsdOptions:
     """Knobs for the decomposition.
 
-    polar_method picks the route for the two polar decompositions and
-    nothing else.  The default "svd" takes each block's polar factors
-    from its SVD, the fastest route on a few cores.  The paper's routes
-    "qdwh" and "zolo" run that sign iteration on every block, the
-    fixed-interval variant included.  Every route eigendecomposes B with
-    LAPACK's Hermitian solver.  The rank, and with it the branch, is read
-    off A itself; see `csd`.
+    polar_method picks the route for the two polar decompositions.  The
+    default "svd" takes each block's polar factors from its SVD, the
+    fastest route on a few cores.  The paper's routes "qdwh" and "zolo"
+    run that sign iteration on every block, the fixed-interval variant
+    included.  The route also sets the schedule's two other choices: the
+    smallest n from which a worker thread may take half of the work, and
+    whether the distance gate is put off to that worker, beside the
+    eigensolve, as on "svd" only (see `csd`).  Every route
+    eigendecomposes B with LAPACK's Hermitian solver.  The rank, and with
+    it the branch, is read off A itself.
     """
 
     polar_method: str = "svd"
@@ -232,17 +235,11 @@ def postprocess_trig(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Snap diagonal pairs onto the unit circle through their angle.
 
-    theta_i = atan2(s_i, c_i); active entries are replaced by cos(theta),
-    sin(theta), shrinking c^2 + s^2 - 1 to a couple of ulp.  Pairs that are
-    numerically (0, 0) are rank-deficiency padding and stay zero.
+    theta_i = atan2(s_i, c_i), and the pair is replaced by cos(theta),
+    sin(theta), shrinking c^2 + s^2 - 1 to a couple of ulp.
     """
-    c = np.asarray(c, dtype=float)
-    s = np.asarray(s, dtype=float)
-    active = c * c + s * s >= 0.25
-    theta = np.where(active, np.arctan2(s, c), 0.0)
-    c_out = np.where(active, np.cos(theta), 0.0)
-    s_out = np.where(active, np.sin(theta), 0.0)
-    return c_out, s_out, theta
+    theta = np.arctan2(np.asarray(s, dtype=float), np.asarray(c, dtype=float))
+    return np.cos(theta), np.sin(theta), theta
 
 
 def cs_from_lambda(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -35,13 +35,6 @@ def agm(a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def complete_k(k: float) -> float:
-    """Complete elliptic integral K(k), modulus convention, 0 <= k < 1."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError(f"modulus must lie in [0, 1), got {k}")
-    return math.pi / (2.0 * agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
-
-
 def complete_k_from_complement(kc: float) -> float:
     """K(k) for modulus k = sqrt(1 - kc**2), given the complement kc.
 

@@ -121,12 +121,27 @@ def lemma23_bound(a: np.ndarray, eps: float, *, norm: str = "spectral") -> float
     return eps + (defect + eps * (1.0 + 3.0 * s1 * s1)) / (sr * (1.0 + sr))
 
 
+def stack_cs(u1, u2, v1, c, s) -> np.ndarray:
+    """The stack [U1 diag(c) V1*; U2 diag(s) V1*]."""
+    v1h = v1.conj().T
+    return np.vstack([(u1 * c) @ v1h, (u2 * s) @ v1h])
+
+
 def assemble_blocks(result) -> np.ndarray:
     """Stack [U1 diag(c) V1*; U2 diag(s) V1*] from a decomposition result."""
-    v1h = result.v1.conj().T
-    top = (result.u1 * result.c) @ v1h
-    bottom = (result.u2 * result.s) @ v1h
-    return np.vstack([top, bottom])
+    return stack_cs(result.u1, result.u2, result.v1, result.c, result.s)
+
+
+def assemble_2x2(result, v2: np.ndarray) -> np.ndarray:
+    """All four blocks [[U1 C V1*, -U1 S V2*], [U2 S V1*, U2 C V2*]] of a
+    complete 2x2 decomposition, from its one-sided result and V2."""
+    v1h, v2h = result.v1.conj().T, v2.conj().T
+    return np.block(
+        [
+            [(result.u1 * result.c) @ v1h, -(result.u1 * result.s) @ v2h],
+            [(result.u2 * result.s) @ v1h, (result.u2 * result.c) @ v2h],
+        ]
+    )
 
 
 def stability_report(a: np.ndarray, result) -> StabilityReport:

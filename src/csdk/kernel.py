@@ -23,13 +23,13 @@ U_ROUNDOFF = 2.0**-53
 DEFAULT_TOL_FACTOR = 50.0
 
 
-def as_matrix(data, dtype=np.complex128) -> np.ndarray:
-    """Validate external data as a finite 2-d matrix.
+def as_matrix(data) -> np.ndarray:
+    """Validate external data as a finite 2-d complex128 matrix.
 
     Used at I/O boundaries; raises ``ValueError`` on non-2d input or
     non-finite entries.
     """
-    a = np.asarray(data, dtype=dtype)
+    a = np.asarray(data, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got ndim={a.ndim}")
     if not np.all(np.isfinite(a)):

@@ -30,6 +30,7 @@ from .errors import ConvergenceError, DimensionError
 from .kernel import (
     DEFAULT_TOL_FACTOR,
     U_ROUNDOFF,
+    SvdFactors,
     hermitian_part,
     norm_fro,
     svd_factor,
@@ -84,12 +85,19 @@ def _require_tall(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _svd_polar(f: SvdFactors, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """W = P_r Q_r* and H = Q_r Sigma_r Q_r* from the leading r singular
+    triplets of an SVD."""
+    p, q = f.p[:, :r], f.q[:, :r]
+    w = p @ q.conj().T
+    h = hermitian_part((q * f.sigma[:r]) @ q.conj().T)
+    return w, h
+
+
 def polar_svd(a: np.ndarray) -> PolarFactors:
     """Polar decomposition through the SVD: W = P Q*, H = Q Sigma Q*."""
     a = _require_tall(a)
-    f = svd_factor(a)
-    w = f.p @ f.q.conj().T
-    h = hermitian_part((f.q * f.sigma) @ f.q.conj().T)
+    w, h = _svd_polar(svd_factor(a), a.shape[1])
     return PolarFactors(w, h, "svd")
 
 
@@ -246,11 +254,5 @@ def canonical_polar(a: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndar
     (U, H) with U = P_r Q_r* a rank-r partial isometry and H = Q_r S_r Q_r*
     Hermitian positive semidefinite sharing its row space.
     """
-    a = np.asarray(a, dtype=np.complex128)
     f = svd_factor(a)
-    r = int(np.count_nonzero(f.sigma > rank_tol))
-    pr = f.p[:, :r]
-    qr_ = f.q[:, :r]
-    u = pr @ qr_.conj().T
-    h = hermitian_part((qr_ * f.sigma[:r]) @ qr_.conj().T)
-    return u, h
+    return _svd_polar(f, int(np.count_nonzero(f.sigma > rank_tol)))

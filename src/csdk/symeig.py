@@ -55,8 +55,8 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
         return v
     idx = np.argmax(np.abs(v), axis=0)
     pivots = v[idx, np.arange(v.shape[1])]
-    mags = np.abs(pivots)
-    phases = np.where(mags > 0, pivots / np.where(mags > 0, mags, 1.0), 1.0)
+    # Each column is a unit vector, so its largest entry is at least 1/sqrt(n).
+    phases = pivots / np.abs(pivots)
     return v * np.conj(phases)[np.newaxis, :]
 
 

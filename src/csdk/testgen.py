@@ -3,9 +3,11 @@
 Class 1 is Haar on the complex Stiefel manifold; class 2 stacks Haar
 factors around heavily clustered principal angles; classes 3 and 4 are
 their rank-deficient counterparts with rank r = nint(3n/4).  Primed
-variants add complex Gaussian noise at 1e-10.  Everything is a pure
-function of (dims, seed): draws come from a Philox counter-based stream
-with Box-Muller normals, so outputs are bit-reproducible across runs.
+variants add complex Gaussian noise at 1e-10.  `gen_with_singular_values`
+puts given singular values between two Haar factors.  Everything is a
+pure function of (dims, seed): draws come from a Philox counter-based
+stream with Box-Muller normals, so outputs are bit-reproducible across
+runs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .isometry import stack_cs
 from .kernel import qr_factor
 
 NOISE_LEVEL = 1e-10
@@ -53,14 +56,17 @@ def gen_haar_stiefel(m: int, n: int, seed: int) -> np.ndarray:
     return _haar(_rng(seed), m, n)
 
 
+def gen_with_singular_values(m: int, n: int, sigma, seed: int) -> np.ndarray:
+    """m x n matrix P diag(sigma) Q* with Haar factors, P drawn from seed
+    and Q from seed + 1."""
+    p = gen_haar_stiefel(m, n, seed)
+    q = gen_haar_stiefel(n, n, seed + 1)
+    return (p * np.asarray(sigma)) @ q.conj().T
+
+
 def _clustered_angles(rng: np.random.Generator, n: int) -> np.ndarray:
     delta = 10.0 ** (-18.0 * rng.random(n + 1))
     return (np.pi / 2.0) * np.cumsum(delta[:n]) / np.sum(delta)
-
-
-def _stack(u1, u2, v1, c, s) -> np.ndarray:
-    v1h = v1.conj().T
-    return np.vstack([(u1 * c) @ v1h, (u2 * s) @ v1h])
 
 
 def gen_clustered(n: int, seed: int) -> np.ndarray:
@@ -77,7 +83,7 @@ def gen_clustered(n: int, seed: int) -> np.ndarray:
     u2 = _haar(rng, n, n)
     v1 = _haar(rng, n, n)
     theta = _clustered_angles(rng, n)
-    return _stack(u1, u2, v1, np.cos(theta), np.sin(theta))
+    return stack_cs(u1, u2, v1, np.cos(theta), np.sin(theta))
 
 
 def gen_rank_deficient_haar(n: int, seed: int) -> np.ndarray:
@@ -105,7 +111,7 @@ def gen_rank_deficient_clustered(n: int, seed: int) -> np.ndarray:
     dropped = rng.choice(n, size=n - r, replace=False)
     c[dropped] = 0.0
     s[dropped] = 0.0
-    return _stack(u1, u2, v1, c, s)
+    return stack_cs(u1, u2, v1, c, s)
 
 
 def add_noise(a: np.ndarray, level: float = NOISE_LEVEL, seed: int = 0) -> np.ndarray:

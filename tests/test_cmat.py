@@ -43,7 +43,7 @@ def test_extreme_values_roundtrip(tmp_path):
 
 
 def test_matrix_market_real_array(tmp_path):
-    text = """%%MatrixMarket matrix array real general
+    real = """%%MatrixMarket matrix array real general
 % comment line
 3 2
 1.0
@@ -53,11 +53,13 @@ def test_matrix_market_real_array(tmp_path):
 5.0
 6.0
 """
-    path = tmp_path / "m.mtx"
-    path.write_text(text)
-    a = load_matrix(path)
-    # Array entries run down columns.
-    np.testing.assert_array_equal(a.real, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+    integer = "%%MatrixMarket matrix array integer general\n3 2\n1\n2\n3\n4\n5\n6\n"
+    for text in (real, integer):
+        path = tmp_path / "m.mtx"
+        path.write_text(text)
+        a = load_matrix(path)
+        # Array entries run down columns.
+        np.testing.assert_array_equal(a.real, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
 
 
 def test_matrix_market_complex_array(tmp_path):
@@ -85,6 +87,8 @@ def test_matrix_market_complex_array(tmp_path):
         "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n",
         "%%MatrixMarket matrix array real general\nx 2\n1 2\n",
         "%%MatrixMarket matrix array real general\n-1 -1\n1\n",
+        "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",
+        "%%MatrixMarket matrix array real general\n2 1\n1\nbad\n",
         "garbage header\n1 2\n",
     ],
 )

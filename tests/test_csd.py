@@ -35,7 +35,13 @@ from csdk.errors import (
     NotNearIsometryError,
     PreconditionError,
 )
-from csdk.isometry import assemble_blocks, dist_to_partial_isometry, stability_report
+from csdk.isometry import (
+    assemble_2x2,
+    assemble_blocks,
+    dist_to_partial_isometry,
+    stability_report,
+    stack_cs,
+)
 from csdk.kernel import U_ROUNDOFF, norm_2, norm_fro
 from csdk.polar import polar_svd
 from csdk.symeig import symeig_direct
@@ -65,11 +71,6 @@ def clustered_three_angle_stack():
     h1 = (v1 * np.cos(theta)) @ v1.T
     h2 = (v1 * np.sin(theta)) @ v1.T
     return np.vstack([h1, h2]).astype(complex), theta, v1
-
-
-def stacked(u1, u2, v1, c, s):
-    v1h = v1.conj().T
-    return np.vstack([(u1 * c) @ v1h, (u2 * s) @ v1h])
 
 
 class TestCsdDispatch:
@@ -341,10 +342,6 @@ class TestPostprocessTrig:
         assert abs(c[0] ** 2 + s[0] ** 2 - 1.0) <= 2 * U
         assert abs(theta[0] - np.arctan(0.8 / 0.6)) <= 1e-8
 
-    def test_padding_rows_stay_zero(self):
-        c, s, theta = postprocess_trig(np.array([0.6, 0.0]), np.array([0.8, 0.0]))
-        assert c[1] == 0.0 and s[1] == 0.0 and theta[1] == 0.0
-
 
 class TestCsFromLambda:
     @pytest.mark.parametrize(
@@ -401,7 +398,7 @@ def _qr_fix_repros():
     theta = np.pi / 2 - np.geomspace(1e-9, 1e-8, r)
     c = np.concatenate([np.cos(theta), np.zeros(n - r)])
     s = np.concatenate([np.sin(theta), np.zeros(n - r)])
-    base = stacked(*(gen_haar_stiefel(n, n, seed=k) for k in (51, 52, 53)), c, s)
+    base = stack_cs(*(gen_haar_stiefel(n, n, seed=k) for k in (51, 52, 53)), c, s)
     for noise in (1e-12, 1e-10):
         g = rng.standard_normal((2 * n, n)) + 1j * rng.standard_normal((2 * n, n))
         cases.append(pytest.param(base + noise * g / norm_2(g), id=f"rank6+{noise:.0e}"))
@@ -494,7 +491,7 @@ class TestRankDeficient:
         u1 = gen_haar_stiefel(n, n, seed=45)
         u2 = gen_haar_stiefel(n, n, seed=46)
         v1 = gen_haar_stiefel(n, n, seed=47)
-        a = stacked(u1, u2, v1, c, s)
+        a = stack_cs(u1, u2, v1, c, s)
         for method in ROUTES:
             res = csd(a, n, CsdOptions(polar_method=method))
             assert res.k == r
@@ -507,16 +504,6 @@ class TestRankDeficient:
         lam = symeig_direct(build_B(h1, h2, a, 2.0)).lam
         active, shifted = lam[:r], lam[r:]
         assert np.min(shifted) - np.max(np.abs(active)) >= 0.9
-
-
-def _assemble_2x2(res, v2):
-    v1h, v2h = res.v1.conj().T, v2.conj().T
-    return np.block(
-        [
-            [(res.u1 * res.c) @ v1h, -(res.u1 * res.s) @ v2h],
-            [(res.u2 * res.s) @ v1h, (res.u2 * res.c) @ v2h],
-        ]
-    )
 
 
 class TestCsd2x2:
@@ -535,14 +522,14 @@ class TestCsd2x2:
         for method in ROUTES:
             res, v2 = csd_2x2(a, CsdOptions(polar_method=method))
             np.testing.assert_allclose(res.theta, theta, atol=1e-14)
-            assert norm_2(_assemble_2x2(res, v2) - a) <= 50 * 2 * U
+            assert norm_2(assemble_2x2(res, v2) - a) <= 50 * 2 * U
 
     def test_haar_unitary(self):
         n = 20
         a = gen_haar_stiefel(2 * n, 2 * n, seed=14)
         for method in ROUTES:
             res, v2 = csd_2x2(a, CsdOptions(polar_method=method))
-            assert norm_2(_assemble_2x2(res, v2) - a) <= 50 * n * U
+            assert norm_2(assemble_2x2(res, v2) - a) <= 50 * n * U
             assert norm_2(v2.conj().T @ v2 - np.eye(n)) <= 50 * n * U
 
     def test_non_unitary_rejected(self):
@@ -660,7 +647,7 @@ def _built_stack(m1, m2, theta, dropped, seed):
     u1 = gen_haar_stiefel(m1, n, seed)
     u2 = gen_haar_stiefel(m2, n, seed + 1)
     v1 = gen_haar_stiefel(n, n, seed + 2)
-    return stacked(u1, u2, v1, c, s)
+    return stack_cs(u1, u2, v1, c, s)
 
 
 class TestAgainstLapackCsd:
@@ -898,7 +885,7 @@ def _full_rank_ill_conditioned(n: int = 8) -> np.ndarray:
     cos(pi/2) ~ 6e-17, so on the iterative routes both take the QR fix."""
     theta = np.linspace(0.0, np.pi / 2, n)
     factors = (gen_haar_stiefel(n, n, seed=k) for k in (61, 62, 63))
-    return stacked(*factors, np.cos(theta), np.sin(theta))
+    return stack_cs(*factors, np.cos(theta), np.sin(theta))
 
 
 def _concurrency_inputs():

@@ -8,7 +8,6 @@ from scipy import special
 
 from csdk.elliptic import (
     agm,
-    complete_k,
     complete_k_from_complement,
     jacobi_sn_cn_dn,
     jacobi_sn_imag,
@@ -20,11 +19,6 @@ mp.mp.dps = 40
 def test_agm_known_value():
     # Gauss's constant: agm(1, sqrt(2)) = 1.19814...
     assert abs(agm(1.0, math.sqrt(2.0)) - 1.1981402347355923) < 1e-15
-
-
-@pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.9, 0.999])
-def test_complete_k_vs_scipy(k):
-    assert complete_k(k) == pytest.approx(float(special.ellipk(k * k)), rel=1e-14)
 
 
 @pytest.mark.parametrize("kc", [1e-15, 1e-10, 1e-5, 1e-3, 0.5, 1.0])
@@ -65,8 +59,6 @@ def test_fold_is_continuous():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
-        complete_k(1.0)
     with pytest.raises(ValueError):
         complete_k_from_complement(0.0)
     with pytest.raises(ValueError):

@@ -13,21 +13,15 @@ from csdk.isometry import (
 )
 from csdk.kernel import U_ROUNDOFF, norm_2, svd_factor
 from csdk.polar import canonical_polar
-from csdk.testgen import add_noise, gen_haar_stiefel
+from csdk.testgen import add_noise, gen_haar_stiefel, gen_with_singular_values
 
 U = U_ROUNDOFF
 ROUTES = ("svd", "qdwh", "zolo")
 
 
-def from_singular_values(m, n, sigma, seed):
-    p = gen_haar_stiefel(m, n, seed)
-    q = gen_haar_stiefel(n, n, seed + 1)
-    return (p * np.asarray(sigma)) @ q.conj().T
-
-
 class TestDistance:
     def test_exact_isometry(self):
-        a = from_singular_values(6, 3, [1.0, 1.0, 1.0], seed=1)
+        a = gen_with_singular_values(6, 3, [1.0, 1.0, 1.0], seed=1)
         assert dist_to_partial_isometry(a) <= 1e2 * 3 * U
 
     def test_every_exact_generator_class(self):
@@ -39,7 +33,7 @@ class TestDistance:
             assert dist_to_partial_isometry(a) <= 1e2 * n * U
 
     def test_formula_on_known_sigmas(self):
-        a = from_singular_values(6, 3, [1.0, 0.5, 0.3], seed=2)
+        a = gen_with_singular_values(6, 3, [1.0, 0.5, 0.3], seed=2)
         assert dist_to_partial_isometry(a) == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_truncation_enumeration_oracle(self):
@@ -55,11 +49,11 @@ class TestDistance:
 
 class TestEpsRank:
     def test_spectral_count(self):
-        a = from_singular_values(5, 3, [1.0, 1.0, 0.0], seed=4)
+        a = gen_with_singular_values(5, 3, [1.0, 1.0, 0.0], seed=4)
         assert eps_rank(a, 0.5, "spectral") == 2
 
     def test_large_eps_gives_zero(self):
-        a = from_singular_values(5, 3, [1.0, 0.5, 0.1], seed=5)
+        a = gen_with_singular_values(5, 3, [1.0, 0.5, 0.1], seed=5)
         assert eps_rank(a, 1.5, "spectral") == 0
 
     def test_matches_truncation_bruteforce(self):
@@ -93,7 +87,7 @@ class TestLemma22:
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             sigma = rng.uniform(0.8, 1.2, size=4)
-            a = from_singular_values(7, 4, np.sort(sigma)[::-1], seed=200 + seed)
+            a = gen_with_singular_values(7, 4, np.sort(sigma)[::-1], seed=200 + seed)
             lo, mid, hi = lemma22_check(a, norm=norm)
             assert lo <= mid + 1e-13
             assert mid <= hi + 1e-13

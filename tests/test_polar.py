@@ -16,15 +16,12 @@ from csdk.polar import (
     qdwh_schedule,
     zolo_schedule,
 )
-from csdk.testgen import gen_haar_stiefel
+from csdk.testgen import gen_haar_stiefel, gen_with_singular_values
 from csdk.zolotarev import eval_sign_approx
 
 
 def conditioned(m, n, kappa, seed):
-    sigma = np.geomspace(1.0, 1.0 / kappa, n)
-    p = gen_haar_stiefel(m, n, seed)
-    q = gen_haar_stiefel(n, n, seed + 1)
-    return (p * sigma) @ q.conj().T
+    return gen_with_singular_values(m, n, np.geomspace(1.0, 1.0 / kappa, n), seed)
 
 
 def extremes(a):
@@ -202,8 +199,7 @@ class TestPolarIterative:
 
 class TestPolarModified:
     def test_well_conditioned_matches_iterative(self):
-        q = gen_haar_stiefel(8, 2, seed=21)
-        a = (q * np.array([1.0, 0.9])) @ gen_haar_stiefel(2, 2, seed=22).conj().T
+        a = gen_with_singular_values(8, 2, [1.0, 0.9], seed=21)
         smax, smin = extremes(a)
         ref = polar_iterative(a, smax, smin, method="zolo")
         pf = polar_modified(a, smax=smax)
@@ -231,9 +227,7 @@ class TestPolarModified:
         n = 12
         sigma = np.ones(n)
         sigma[-3:] = [1e-8, 1e-16, 0.0]
-        a = (gen_haar_stiefel(2 * n, n, seed=31) * sigma) @ gen_haar_stiefel(
-            n, n, seed=32
-        ).conj().T
+        a = gen_with_singular_values(2 * n, n, sigma, seed=31)
         pf = polar_modified(a, smax=extremes(a)[0])
         href = polar_svd(a).h
         assert norm_fro(pf.h - href) <= 1e3 * U_ROUNDOFF
