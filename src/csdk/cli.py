@@ -12,6 +12,7 @@ too far from a partial isometry, 3 file or parse error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import acceptance
 from .cmat import load_matrix, save_matrix
-from .csd import CsdOptions, CsdResult, csd
+from .csd import POLAR_METHODS, CsdOptions, CsdResult, csd
 from .errors import CsdkError, MatrixFormatError, NotNearIsometryError
 from .isometry import StabilityReport, stability_report
 from .testgen import TestCase, bench_sizes, generate
@@ -47,9 +48,9 @@ def _emit_rows(rows: list[dict], fmt: str, out) -> None:
         for row in rows:
             out.write(json.dumps(row) + "\n")
     elif fmt == "csv":
-        out.write(",".join(keys) + "\n")
-        for row in rows:
-            out.write(",".join(_cell(row[k]) for k in keys) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([_cell(row[k]) for k in keys] for row in rows)
     else:
         widths = {
             k: max(len(k), *(len(_cell(r[k])) for r in rows)) for k in keys
@@ -137,7 +138,7 @@ def _bench_one(cid: int, noisy: bool, n: int, seed: int, opts: CsdOptions) -> di
 def _cmd_bench(args) -> int:
     try:
         classes = _parse_int_list(args.classes)
-        sizes = _parse_int_list(args.sizes) if args.sizes else bench_sizes(5)
+        sizes = _parse_int_list(args.sizes) if args.sizes else bench_sizes()
         seeds = _parse_int_list(args.seeds)
     except ValueError as exc:
         print(
@@ -164,14 +165,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
-    results = acceptance.run_all()
-    return 0 if all(r.passed for r in results) else 1
+    return 0 if all(r.passed for r in acceptance.run_all()) else 1
 
 
 def _add_common_options(parser) -> None:
     parser.add_argument(
         "--method",
-        choices=("svd", "qdwh", "zolo"),
+        choices=POLAR_METHODS,
         default=CsdOptions().polar_method,
         help="route for the two polar decompositions (default: %(default)s)",
     )

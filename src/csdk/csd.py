@@ -59,6 +59,7 @@ import contextlib
 import contextvars
 import functools
 import logging
+import operator
 import os
 from collections.abc import Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -102,6 +103,9 @@ _R_AGREEMENT_FACTOR = 1e3
 # that singular direction into the null space by ~u/sigma, costing
 # (u/sigma)**2 of U_i orthonormality, which crosses roundoff level near 1e-7.
 _RANK_DEFICIENT_FIX_THRESHOLD = 1e-7
+
+# The routes for the two block polar decompositions, the default first.
+POLAR_METHODS = ("svd", "qdwh", "zolo")
 
 # From this many columns up, per polar route, a call may start a worker
 # thread for the jobs its schedule hands off; below it those jobs run on
@@ -170,10 +174,10 @@ class CsdOptions:
     it the branch, is read off A itself.
     """
 
-    polar_method: str = "svd"
+    polar_method: str = POLAR_METHODS[0]
 
     def __post_init__(self):
-        if self.polar_method not in ("svd", "qdwh", "zolo"):
+        if self.polar_method not in POLAR_METHODS:
             raise ValueError(f"unknown polar method {self.polar_method!r}")
 
 
@@ -344,6 +348,10 @@ def _validated(a: np.ndarray, m1: int) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2:
         raise DimensionError("input must be a matrix")
+    try:
+        m1 = operator.index(m1)
+    except TypeError:
+        raise DimensionError(f"the split m1 must be an integer, got {m1!r}") from None
     m, n = a.shape
     if n == 0:
         raise DimensionError("input must have at least one column")
@@ -527,6 +535,8 @@ def csd_2x2(
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
         raise DimensionError(f"expected a square even-sized matrix, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
     n = a.shape[0] // 2
     gate = norm_fro(a.conj().T @ a - np.eye(2 * n))
     if gate > 1e-6:

@@ -81,16 +81,14 @@ def jacobi_sn_cn_dn(u: complex, m: float) -> tuple[complex, complex, complex]:
     return sn, cn, dn
 
 
-def jacobi_sn_imag(y: float, kc: float, kp: float | None = None) -> float:
+def jacobi_sn_imag(y: float, kc: float, kp: float) -> float:
     """Return t >= 0 such that sn(i*y | m = kc**2) = i*t, for 0 <= y < K'.
 
-    K' here is the imaginary quarter period of the parameter m = kc**2,
-    i.e. complete_k_from_complement(kc).  Arguments past K'/2 are folded
-    with sn(u + i*K') = 1/(k*sn(u)), which preserves relative accuracy all
-    the way to the pole at K'.
+    kp is K', the imaginary quarter period of the parameter m = kc**2,
+    i.e. complete_k_from_complement(kc), which the caller has in hand.
+    Arguments past K'/2 are folded with sn(u + i*K') = 1/(k*sn(u)), which
+    preserves relative accuracy all the way to the pole at K'.
     """
-    if kp is None:
-        kp = complete_k_from_complement(kc)
     if not 0.0 <= y < kp:
         raise ValueError(f"argument must lie in [0, K'), got {y} with K'={kp}")
     m = kc * kc

@@ -80,7 +80,7 @@ def _eps_rank_of(sigma: np.ndarray, eps: float, norm: str) -> int:
 
 
 def lemma22_check(
-    a: np.ndarray, *, norm: str = "spectral", rank_tol: float | None = None
+    a: np.ndarray, *, norm: str = "spectral"
 ) -> tuple[float, float, float]:
     """The sandwich bounding ||A - U|| by ||AA*A - A|| for exact-rank A.
 
@@ -88,16 +88,14 @@ def lemma22_check(
     partial-isometry factor of the canonical polar decomposition of A, and
     the outer terms are ||AA*A - A|| divided by sigma_1(1 + sigma_1) and by
     sigma_r(1 + sigma_r).  Intended for inputs whose rank r is exact
-    (clean constructions); rank_tol separates the zero tail.
+    (clean constructions), whose zero tail lies below 1e-8 sigma_1.
     """
     a = np.asarray(a, dtype=np.complex128)
     f = svd_factor(a)
     sigma = f.sigma
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0.0, 0.0, 0.0
-    if rank_tol is None:
-        rank_tol = 1e-8 * sigma[0]
-    r = int(np.count_nonzero(sigma > rank_tol))
+    r = int(np.count_nonzero(sigma > 1e-8 * sigma[0]))
     defect = _norm(a @ a.conj().T @ a - a, norm)
     u = f.p[:, :r] @ f.q[:, :r].conj().T
     middle = _norm(a - u, norm)
@@ -105,19 +103,19 @@ def lemma22_check(
     return defect / (s1 * (1.0 + s1)), middle, defect / (sr * (1.0 + sr))
 
 
-def lemma23_bound(a: np.ndarray, eps: float, *, norm: str = "spectral") -> float:
-    """Upper bound on the distance to a rank-r partial isometry, r = eps-rank.
+def lemma23_bound(a: np.ndarray, eps: float) -> float:
+    """Bound on the 2-norm distance to a rank-r partial isometry, r = eps-rank.
 
     eps + (||AA*A - A|| + eps(1 + 3 sigma_1^2)) / (sigma_r (1 + sigma_r)).
     Raises when the eps-rank is zero or sigma_r vanishes.
     """
     a = np.asarray(a, dtype=np.complex128)
     sigma = singular_values(a)
-    r = _eps_rank_of(sigma, eps, norm)
+    r = _eps_rank_of(sigma, eps, "spectral")
     if r == 0 or sigma[r - 1] == 0.0:
         raise PreconditionError("eps-rank is zero or sigma_r vanishes")
     s1, sr = float(sigma[0]), float(sigma[r - 1])
-    defect = _norm(a @ a.conj().T @ a - a, norm)
+    defect = norm_2(a @ a.conj().T @ a - a)
     return eps + (defect + eps * (1.0 + 3.0 * s1 * s1)) / (sr * (1.0 + sr))
 
 

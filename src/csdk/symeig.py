@@ -39,6 +39,9 @@ _DIRECT_BLOCK = 4
 # as ConvergenceError from the final orthonormality check.
 _ELL_FLOOR = 1e-15
 
+# symeig_interval splits this far outside its window.
+_INTERVAL_MARGIN = 0.1
+
 
 @dataclass(frozen=True)
 class SymEigResult:
@@ -172,38 +175,32 @@ def symeig_sdc(b: np.ndarray, *, split_log: list | None = None) -> SymEigResult:
 
 
 def symeig_interval(
-    b: np.ndarray,
-    lo: float,
-    hi: float,
-    *,
-    margin: float = 0.1,
-    tol: float | None = None,
+    b: np.ndarray, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of Hermitian B with eigenvalues inside [lo, hi].
 
-    Splits the spectrum at hi + margin and lo - margin (the caller is
+    Splits the spectrum at hi + 0.1 and lo - 0.1 (the caller is
     responsible for placing the window so these points fall in gaps), runs
     the divide-and-conquer solver on the compressed middle block, and
-    returns (vectors, values) for eigenvalues within tol of the window;
-    tol defaults to 50*n*u*||B||_2.  A split point landing on an
-    eigenvalue surfaces as ConvergenceError.
+    returns (vectors, values) for eigenvalues within 50*n*u*||B||_2 of the
+    window.  A split point landing on an eigenvalue surfaces as
+    ConvergenceError.
     """
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     bh = hermitian_part(np.asarray(b, dtype=np.complex128))
     n = bh.shape[0]
-    if tol is None:
-        tol = DEFAULT_TOL_FACTOR * n * U_ROUNDOFF * norm_2(bh)
+    tol = DEFAULT_TOL_FACTOR * n * U_ROUNDOFF * norm_2(bh)
 
     basis = np.eye(n, dtype=np.complex128)
     core = bh
     # Discard the invariant subspace above the window, then below it.
-    _, vminus, nplus = spectral_split(core, hi + margin)
+    _, vminus, nplus = spectral_split(core, hi + _INTERVAL_MARGIN)
     if nplus > 0:
         basis = basis @ vminus
         core = hermitian_part(vminus.conj().T @ core @ vminus)
     if core.shape[0] > 0:
-        vplus, _, nplus = spectral_split(core, lo - margin)
+        vplus, _, nplus = spectral_split(core, lo - _INTERVAL_MARGIN)
         if nplus < core.shape[0]:
             basis = basis @ vplus
             core = hermitian_part(vplus.conj().T @ core @ vplus)

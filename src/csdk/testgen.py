@@ -69,6 +69,16 @@ def _clustered_angles(rng: np.random.Generator, n: int) -> np.ndarray:
     return (np.pi / 2.0) * np.cumsum(delta[:n]) / np.sum(delta)
 
 
+def _clustered_factors(n: int, seed: int):
+    """(rng, U1, U2, V1, theta): Haar factors and clustered angles, drawn
+    in that order from the stream of seed."""
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    rng = _rng(seed)
+    u1, u2, v1 = (_haar(rng, n, n) for _ in range(3))
+    return rng, u1, u2, v1, _clustered_angles(rng, n)
+
+
 def gen_clustered(n: int, seed: int) -> np.ndarray:
     """2n x n matrix with orthonormal columns and clustered principal angles.
 
@@ -76,13 +86,7 @@ def gen_clustered(n: int, seed: int) -> np.ndarray:
     equal angles (near 0 and elsewhere) appear with high probability; these
     are the inputs on which one-sided eigenvector strategies break down.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    rng = _rng(seed)
-    u1 = _haar(rng, n, n)
-    u2 = _haar(rng, n, n)
-    v1 = _haar(rng, n, n)
-    theta = _clustered_angles(rng, n)
+    _, u1, u2, v1, theta = _clustered_factors(n, seed)
     return stack_cs(u1, u2, v1, np.cos(theta), np.sin(theta))
 
 
@@ -99,14 +103,8 @@ def gen_rank_deficient_haar(n: int, seed: int) -> np.ndarray:
 
 def gen_rank_deficient_clustered(n: int, seed: int) -> np.ndarray:
     """Clustered-angle matrix with both diagonals zeroed at n - r indices."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    rng, u1, u2, v1, theta = _clustered_factors(n, seed)
     r = nint(3 * n / 4)
-    rng = _rng(seed)
-    u1 = _haar(rng, n, n)
-    u2 = _haar(rng, n, n)
-    v1 = _haar(rng, n, n)
-    theta = _clustered_angles(rng, n)
     c, s = np.cos(theta), np.sin(theta)
     dropped = rng.choice(n, size=n - r, replace=False)
     c[dropped] = 0.0
@@ -163,6 +161,6 @@ def generate(case: TestCase) -> np.ndarray:
     return a
 
 
-def bench_sizes(count: int = 5) -> list[int]:
-    """The default benchmark sizes nint(30 * 2**(j/2)), j = 0..count-1."""
-    return [nint(30.0 * 2.0 ** (j / 2.0)) for j in range(count)]
+def bench_sizes() -> list[int]:
+    """The default benchmark sizes nint(30 * 2**(j/2)), j = 0..4."""
+    return [nint(30.0 * 2.0 ** (j / 2.0)) for j in range(5)]

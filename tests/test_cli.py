@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, written factors, report formats."""
 
+import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
 import pytest
 
+from csdk import acceptance
 from csdk.cli import _options_from_args, build_parser, main
 from csdk.cmat import load_matrix, save_matrix
 from csdk.csd import CsdOptions, csd
@@ -96,6 +99,19 @@ def test_compute_flag_combinations(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("input,")
+
+
+def test_compute_csv_quotes_a_path_with_a_comma(tmp_path, capsys):
+    src = tmp_path / "a,b.cmat"
+    write_identity_block(src, n=4)
+    code = main(
+        ["compute", "--input", str(src), "--m1", "4", "--out", str(tmp_path / "o"),
+         "--format", "csv"]
+    )
+    assert code == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(row) == len(header)
+    assert dict(zip(header, row))["input"] == str(src)
 
 
 def test_compute_options_cover_every_knob(monkeypatch):
@@ -265,3 +281,28 @@ def test_bench_noisy_scaled_residual(capsys):
     row = json.loads(capsys.readouterr().out.strip().splitlines()[0])
     assert row["class"] == "1'"
     assert row["resid/d"] <= 10.0
+
+
+def _stub_criterion(ident: str, passed: bool):
+    def criterion():
+        return acceptance.CriterionResult(ident, f"stub {ident}", passed, "details")
+
+    return criterion
+
+
+@pytest.mark.parametrize("second_passes", [False, True])
+def test_selftest_prints_one_line_per_criterion(monkeypatch, capsys, second_passes):
+    """selftest prints each criterion's verdict and fails if any fails;
+    stub criteria stand in for the real suite."""
+    monkeypatch.setattr(
+        acceptance,
+        "ALL_CRITERIA",
+        (_stub_criterion("1", True), _stub_criterion("2", second_passes)),
+    )
+    code = main(["selftest"])
+    verdict = "PASS" if second_passes else "FAIL"
+    assert capsys.readouterr().out.splitlines() == [
+        "[PASS] criterion 1: stub 1 -- details",
+        f"[{verdict}] criterion 2: stub 2 -- details",
+    ]
+    assert code == (0 if second_passes else 1)

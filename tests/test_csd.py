@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import csdk.polar
 from csdk.csd import (
+    POLAR_METHODS,
     CsdOptions,
     build_B,
     cs_from_lambda,
@@ -121,6 +122,19 @@ class TestCsdDispatch:
             csd(a, 2)  # top block shorter than n
         with pytest.raises(DimensionError):
             csd(a, 6)  # bottom block shorter than n
+
+    def test_split_must_be_an_integer(self):
+        a = gen_haar_stiefel(8, 3, seed=1)
+        for m1 in (4.0, "4", None):
+            with pytest.raises(DimensionError, match="integer"):
+                csd(a, m1)
+        for method in ROUTES:
+            opts = CsdOptions(polar_method=method)
+            plain, numpy_int = csd(a, 4, opts), csd(a, np.int64(4), opts)
+            for field in ("u1", "u2", "v1", "c", "s", "theta"):
+                np.testing.assert_array_equal(
+                    getattr(numpy_int, field), getattr(plain, field), err_msg=field
+                )
 
     def test_distance_gate(self):
         rng = np.random.default_rng(0)
@@ -539,6 +553,14 @@ class TestCsd2x2:
     def test_odd_size_rejected(self):
         with pytest.raises(DimensionError):
             csd_2x2(np.eye(5, dtype=complex))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("row, col", [(0, 1), (6, 2), (0, 5), (6, 7)])
+    def test_non_finite_rejected_in_every_quadrant(self, value, row, col):
+        a = gen_haar_stiefel(8, 8, seed=3)
+        a[row, col] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            csd_2x2(a)
 
 
 class TestInvariants:
@@ -968,6 +990,9 @@ class TestConcurrentBlockPolars:
     """From csdk.csd._CONCURRENT_MIN_N columns up, a minimum per polar
     route, on hosts where it pays, the top block's polar runs on a worker
     thread while the calling thread runs the bottom's."""
+
+    def test_every_polar_route_has_a_minimum_n(self):
+        assert set(csdk_csd._CONCURRENT_MIN_N) == set(POLAR_METHODS)
 
     @pytest.mark.parametrize("method", ROUTES)
     @pytest.mark.parametrize("a, iterative_branch", _concurrency_inputs())

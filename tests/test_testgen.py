@@ -29,7 +29,7 @@ def test_nint_matches_half_away_from_zero():
 
 
 def test_bench_sizes():
-    assert bench_sizes(5) == [30, 42, 60, 85, 120]
+    assert bench_sizes() == [30, 42, 60, 85, 120]
 
 
 class TestHaar:
