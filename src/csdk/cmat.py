@@ -108,12 +108,12 @@ def load_matrix(path) -> np.ndarray:
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         raise MatrixFormatError(f"{path}: empty file")
-    first = lines[0].lstrip()
-    if first.lower().startswith("%%matrixmarket"):
+    header = lines[0].split()
+    if header[0].lower() == "%%matrixmarket":
         a = _parse_matrix_market(lines, path)
-    elif first.startswith("cmat"):
+    elif header[0] == "cmat":
         body = " ".join(lines[1:]).split()
-        a = _parse_cmat(lines[0].split(), body, path)
+        a = _parse_cmat(header, body, path)
     else:
         raise MatrixFormatError(f"{path}: unrecognized header {lines[0]!r}")
     try:

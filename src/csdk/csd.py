@@ -84,11 +84,10 @@ from .isometry import dist_from_singular_values
 from .polar import EPSILON, PolarFactors, polar_iterative, polar_modified, polar_svd
 from .symeig import symeig_direct, symeig_hermitian
 
-# Not called here, but perfbench/layers.py looks these names up in this
-# module; it also wraps extract_cs and cs_from_lambda, defined below.
-from .isometry import dist_to_partial_isometry  # noqa: F401
-from .kernel import svd_factor  # noqa: F401
-from .symeig import symeig_interval, symeig_sdc  # noqa: F401
+# perfbench/layers.py wraps these names in this module, but csd calls none
+# of them; they go with ROADMAP item 1.
+dist_to_partial_isometry = svd_factor = symeig_interval = symeig_sdc = None
+extract_cs = cs_from_lambda = None
 
 _log = logging.getLogger("csdk")
 
@@ -218,19 +217,9 @@ def build_B(h1: np.ndarray, h2: np.ndarray, a: np.ndarray, mu: float) -> np.ndar
     return hermitian_part(b)
 
 
-def extract_cs(
-    v1: np.ndarray, h1: np.ndarray, h2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals of V1* H1 V1 and V1* H2 V1, clamped into [0, 1].
-
-    The off-diagonal parts and the imaginary/negative round-off are
-    discarded; true entries are cosines and sines, so the clamp only moves
-    values by O(u).
-    """
-    return _projected_diagonal(v1, h1), _projected_diagonal(v1, h2)
-
-
 def _projected_diagonal(v1: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """diag(V1* H V1), clamped into [0, 1]: true entries are cosines or
+    sines, so the clamp only moves values by O(u)."""
     return np.clip(np.real(np.sum(np.conj(v1) * (h @ v1), axis=0)), 0.0, 1.0)
 
 
@@ -243,13 +232,6 @@ def postprocess_trig(
     sin(theta), shrinking c^2 + s^2 - 1 to a couple of ulp.
     """
     theta = np.arctan2(np.asarray(s, dtype=float), np.asarray(c, dtype=float))
-    return np.cos(theta), np.sin(theta), theta
-
-
-def cs_from_lambda(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Recover (c, s, theta) from eigenvalues lambda = sin(theta) - cos(theta)."""
-    lam = np.clip(np.asarray(lam, dtype=float), -1.0, 1.0)
-    theta = np.arcsin(lam / np.sqrt(2.0)) + np.pi / 4.0
     return np.cos(theta), np.sin(theta), theta
 
 
@@ -340,6 +322,11 @@ def _own_polars() -> bool:
     """
     names = globals()
     return all(names[name] is fn for name, fn in _OWN_POLARS.items())
+
+
+def _check_options(opts) -> None:
+    if not isinstance(opts, CsdOptions):
+        raise TypeError(f"opts must be a CsdOptions, got {type(opts).__name__}")
 
 
 def _validated(a: np.ndarray, m1: int) -> np.ndarray:
@@ -470,6 +457,7 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     bottom's, and that of the mu = 0 eigensolve only at full rank.  The
     worker has exited before this returns.
     """
+    _check_options(opts)
     a = _validated(a, m1)
     n = a.shape[1]
     if n >= _CONCURRENT_MIN_N[opts.polar_method] and _OVERLAP_PAYS and _own_polars():
@@ -532,6 +520,7 @@ def csd_2x2(
     X is returned as V2.  Reconstruction of all four blocks is
     [[U1 C V1*, -U1 S V2*], [U2 S V1*, U2 C V2*]].
     """
+    _check_options(opts)
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2 != 0:
         raise DimensionError(f"expected a square even-sized matrix, got {a.shape}")

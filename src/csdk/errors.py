@@ -9,10 +9,6 @@ class DimensionError(CsdkError):
     """Input matrix shape violates a routine's requirements."""
 
 
-class IndefiniteMatrixError(CsdkError):
-    """Cholesky factorization hit a non-positive pivot."""
-
-
 class ConvergenceError(CsdkError):
     """An iteration failed to converge within its cap."""
 

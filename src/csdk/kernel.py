@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, IndefiniteMatrixError
+from .errors import ConvergenceError, DimensionError
 
 # Unit roundoff of IEEE double precision.
 U_ROUNDOFF = 2.0**-53
@@ -92,20 +92,6 @@ def qr_factor(a: np.ndarray) -> QrFactors:
     idx = np.arange(n)
     r[idx, idx] = mag
     return QrFactors(q, r)
-
-
-def cholesky_factor(a: np.ndarray) -> np.ndarray:
-    """Upper-triangular R with A = R* R for Hermitian positive definite A.
-
-    Raises ``IndefiniteMatrixError`` on a non-positive pivot so callers can
-    fall back to a QR-based path.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise IndefiniteMatrixError(str(exc)) from exc
-    return lower.conj().T
 
 
 def svd_factor(a: np.ndarray) -> SvdFactors:

@@ -37,8 +37,9 @@ from .kernel import (
 )
 from .zolotarev import MAX_ORDER, SignIterationFactors, sign_iteration_factors
 
-# Not called here, but perfbench/layers.py looks these names up in this module.
-from .kernel import cholesky_factor, qr_factor  # noqa: F401
+# perfbench/layers.py wraps these names in this module, but the polar
+# routines call neither; they go with ROADMAP item 1.
+cholesky_factor = qr_factor = None
 
 # Below this interval edge the Gram matrix X*X + pole*I is too ill
 # conditioned to solve with directly; use the stacked-QR form of the update.

@@ -7,8 +7,7 @@ QR factorization of that projector yields orthonormal bases of the
 subspace and its complement, the two compressed blocks decouple to
 working precision, and recursion finishes the job.  `symeig_direct`
 (LAPACK tridiagonal reduction) is both the small-block base case and the
-independent oracle; `symeig_interval` restricts the computation to the
-eigenpairs inside a prescribed window by splitting just outside it.
+independent oracle.
 """
 
 from __future__ import annotations
@@ -19,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernel import (
-    DEFAULT_TOL_FACTOR,
-    U_ROUNDOFF,
-    hermitian_part,
-    norm_2,
-    norm_fro,
-)
+from .kernel import hermitian_part, norm_fro
 from .polar import polar_iterative
 
 _DIRECT_BLOCK = 4
@@ -38,9 +31,6 @@ _DIRECT_BLOCK = 4
 # leaves that singular value short of 1 after the schedule, and surfaces
 # as ConvergenceError from the final orthonormality check.
 _ELL_FLOOR = 1e-15
-
-# symeig_interval splits this far outside its window.
-_INTERVAL_MARGIN = 0.1
 
 
 @dataclass(frozen=True)
@@ -172,40 +162,3 @@ def symeig_sdc(b: np.ndarray, *, split_log: list | None = None) -> SymEigResult:
     v, lam = _sdc_recurse(bh, 0, depth_cap, split_log)
     order = np.argsort(lam, kind="stable")
     return SymEigResult(_phase_normalize(v[:, order]), lam[order], "sdc")
-
-
-def symeig_interval(
-    b: np.ndarray, lo: float, hi: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of Hermitian B with eigenvalues inside [lo, hi].
-
-    Splits the spectrum at hi + 0.1 and lo - 0.1 (the caller is
-    responsible for placing the window so these points fall in gaps), runs
-    the divide-and-conquer solver on the compressed middle block, and
-    returns (vectors, values) for eigenvalues within 50*n*u*||B||_2 of the
-    window.  A split point landing on an eigenvalue surfaces as
-    ConvergenceError.
-    """
-    if hi < lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    bh = hermitian_part(np.asarray(b, dtype=np.complex128))
-    n = bh.shape[0]
-    tol = DEFAULT_TOL_FACTOR * n * U_ROUNDOFF * norm_2(bh)
-
-    basis = np.eye(n, dtype=np.complex128)
-    core = bh
-    # Discard the invariant subspace above the window, then below it.
-    _, vminus, nplus = spectral_split(core, hi + _INTERVAL_MARGIN)
-    if nplus > 0:
-        basis = basis @ vminus
-        core = hermitian_part(vminus.conj().T @ core @ vminus)
-    if core.shape[0] > 0:
-        vplus, _, nplus = spectral_split(core, lo - _INTERVAL_MARGIN)
-        if nplus < core.shape[0]:
-            basis = basis @ vplus
-            core = hermitian_part(vplus.conj().T @ core @ vplus)
-    if core.shape[0] == 0:
-        return np.empty((n, 0), dtype=np.complex128), np.empty(0)
-    res = symeig_sdc(core)
-    keep = (res.lam >= lo - tol) & (res.lam <= hi + tol)
-    return _phase_normalize(basis @ res.v[:, keep]), res.lam[keep]

@@ -112,7 +112,7 @@ def gen_rank_deficient_clustered(n: int, seed: int) -> np.ndarray:
     return stack_cs(u1, u2, v1, c, s)
 
 
-def add_noise(a: np.ndarray, level: float = NOISE_LEVEL, seed: int = 0) -> np.ndarray:
+def add_noise(a: np.ndarray, level: float, seed: int) -> np.ndarray:
     """A + level * (G_re + i G_im) with independent standard-normal parts."""
     if level == 0.0:
         return np.asarray(a, dtype=np.complex128)

@@ -84,11 +84,13 @@ def test_matrix_market_complex_array(tmp_path):
         "cmat 2 2 real\n1 2 3\n",
         "cmat 2 2 real\n1 2 3 nan\n",
         "cmat 2 2 real\n1 2 3 bad\n",
+        "cmatrix 2 2 real\n1 2 3 4\n",
         "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2.0\n",
         "%%MatrixMarket matrix array real general\nx 2\n1 2\n",
         "%%MatrixMarket matrix array real general\n-1 -1\n1\n",
         "%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n",
         "%%MatrixMarket matrix array real general\n2 1\n1\nbad\n",
+        "%%MatrixMarketx matrix array real general\n1 1\n1\n",
         "garbage header\n1 2\n",
     ],
 )

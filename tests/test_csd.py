@@ -22,11 +22,10 @@ import csdk.polar
 from csdk.csd import (
     POLAR_METHODS,
     CsdOptions,
+    _projected_diagonal,
     build_B,
-    cs_from_lambda,
     csd,
     csd_2x2,
-    extract_cs,
     polar_via_qr_fix,
     postprocess_trig,
 )
@@ -43,8 +42,8 @@ from csdk.isometry import (
     stability_report,
     stack_cs,
 )
-from csdk.kernel import U_ROUNDOFF, norm_2, norm_fro
-from csdk.polar import polar_svd
+from csdk.kernel import U_ROUNDOFF, norm_2, norm_fro, singular_values
+from csdk.polar import polar_modified, polar_svd
 from csdk.symeig import symeig_direct
 from csdk.testgen import (
     TestCase,
@@ -208,6 +207,12 @@ class TestCsdDispatch:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             CsdOptions(polar_method="cayley")
+        # An opts that is not a CsdOptions is refused before any work, so
+        # ahead of the shape check and of csd_2x2's unitarity gate.
+        with pytest.raises(TypeError, match="CsdOptions"):
+            csd(np.zeros((1, 1)), 2, "qdwh")
+        with pytest.raises(TypeError, match="CsdOptions"):
+            csd_2x2(np.ones((2, 2)), "qdwh")
 
     @pytest.mark.parametrize("method", ["qdwh", "zolo"])
     def test_fixed_interval_runs_the_routes_iteration(self, monkeypatch, method):
@@ -292,16 +297,31 @@ class TestBuildB:
         assert np.all(np.abs(lam[:r]) <= 1.0 + 1e2 * U)
         np.testing.assert_allclose(lam[r:], np.full(n - r, 2.0), atol=1e2 * U)
 
+    def test_rank_deficient_shifted_difference(self):
+        # The shifted difference of the two Hermitian polar factors of a
+        # rank-deficient isometry, from the fixed-interval polar, has
+        # exactly r eigenvalues in [-1, 1] and the rest at 2.
+        n = 20
+        r = nint(3 * n / 4)
+        a = gen_rank_deficient_haar(n, seed=6)
+        h1 = polar_modified(a[:n], smax=singular_values(a[:n])[0]).h
+        h2 = polar_modified(a[n:], smax=singular_values(a[n:])[0]).h
+        lam = symeig_direct(build_B(h1, h2, a, 2.0)).lam
+        assert np.count_nonzero(np.abs(lam) <= 1.0 + 1e-10) == r
+        np.testing.assert_allclose(lam[r:], np.full(n - r, 2.0), atol=1e2 * U)
+
     def test_mu_validation(self):
         with pytest.raises(ValueError):
             build_B(np.eye(2), np.eye(2), np.eye(2), 1.0)
 
 
 class TestExtractCs:
+    # csd reads C and S as the diagonals of V1* H1 V1 and V1* H2 V1.
     def test_identity_basis_reads_diagonal(self):
         h1 = np.diag([0.6, 0.8]).astype(complex)
         h2 = np.diag([0.8, 0.6]).astype(complex)
-        c, s = extract_cs(np.eye(2, dtype=complex), h1, h2)
+        v1 = np.eye(2, dtype=complex)
+        c, s = _projected_diagonal(v1, h1), _projected_diagonal(v1, h2)
         np.testing.assert_allclose(c, [0.6, 0.8])
         np.testing.assert_allclose(s, [0.8, 0.6])
 
@@ -325,14 +345,13 @@ class TestExtractCs:
         v1 = gen_haar_stiefel(n, n, seed=12)
         h1 = (v1 * np.cos(theta)) @ v1.conj().T
         h2 = (v1 * np.sin(theta)) @ v1.conj().T
-        c, s = extract_cs(v1, h1, h2)
+        c, s = _projected_diagonal(v1, h1), _projected_diagonal(v1, h2)
         np.testing.assert_allclose(c, np.cos(theta), atol=1e2 * U)
         np.testing.assert_allclose(s, np.sin(theta), atol=1e2 * U)
 
     def test_clamped_into_unit_interval(self):
         h1 = np.diag([1.0 + 5e-16, -1e-17]).astype(complex)
-        h2 = np.diag([0.0, 1.0]).astype(complex)
-        c, s = extract_cs(np.eye(2, dtype=complex), h1, h2)
+        c = _projected_diagonal(np.eye(2, dtype=complex), h1)
         assert np.all(c >= 0.0) and np.all(c <= 1.0)
 
 
@@ -355,21 +374,6 @@ class TestPostprocessTrig:
         c, s, theta = postprocess_trig(c_in, s_in)
         assert abs(c[0] ** 2 + s[0] ** 2 - 1.0) <= 2 * U
         assert abs(theta[0] - np.arctan(0.8 / 0.6)) <= 1e-8
-
-
-class TestCsFromLambda:
-    @pytest.mark.parametrize(
-        "lam,theta", [(0.0, np.pi / 4), (-1.0, 0.0), (1.0, np.pi / 2)]
-    )
-    def test_endpoints(self, lam, theta):
-        c, s, th = cs_from_lambda(np.array([lam]))
-        assert th[0] == pytest.approx(theta, abs=1e-15)
-        assert c[0] == pytest.approx(np.cos(theta), abs=1e-15)
-        assert s[0] == pytest.approx(np.sin(theta), abs=1e-15)
-
-    def test_clamps_out_of_range(self):
-        c, s, th = cs_from_lambda(np.array([1.0 + 1e-12, -1.0 - 1e-12]))
-        assert np.all(np.isfinite(th))
 
 
 class TestPolarViaQrFix:

@@ -1,14 +1,12 @@
-"""Kernel factorization contracts: QR phase convention, Cholesky, SVD,
-determinism."""
+"""Kernel factorization contracts: QR phase convention, SVD, determinism."""
 
 import numpy as np
 import pytest
 
-from csdk.errors import DimensionError, IndefiniteMatrixError
+from csdk.errors import DimensionError
 from csdk.kernel import (
     U_ROUNDOFF,
     as_matrix,
-    cholesky_factor,
     norm_fro,
     qr_factor,
     svd_factor,
@@ -79,28 +77,6 @@ class TestQr:
         f1, f2 = qr_factor(a), qr_factor(a)
         np.testing.assert_array_equal(f1.q, f2.q)
         np.testing.assert_array_equal(f1.r, f2.r)
-
-
-class TestCholesky:
-    def test_identity(self):
-        np.testing.assert_array_equal(
-            cholesky_factor(np.eye(3, dtype=complex)), np.eye(3)
-        )
-
-    def test_diagonal(self):
-        r = cholesky_factor(np.diag([4.0, 9.0]).astype(complex))
-        np.testing.assert_allclose(r, np.diag([2.0, 3.0]))
-
-    def test_reconstruction(self):
-        x = crandn(6, 6)
-        a = x.conj().T @ x + np.eye(6)
-        r = cholesky_factor(a)
-        assert norm_fro(r.conj().T @ r - a) <= 50 * 6 * U_ROUNDOFF * norm_fro(a)
-        assert np.all(np.diagonal(r).real > 0)
-
-    def test_indefinite_signals(self):
-        with pytest.raises(IndefiniteMatrixError):
-            cholesky_factor(np.diag([1.0, -1.0]).astype(complex))
 
 
 class TestSvd:

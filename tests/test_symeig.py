@@ -1,20 +1,12 @@
-"""Eigensolver contracts: splitting, recursion, direct oracle, interval mode."""
+"""Eigensolver contracts: splitting, recursion, direct oracle."""
 
 import numpy as np
 import pytest
 
 from csdk.errors import ConvergenceError
-from csdk.kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro, singular_values
+from csdk.kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro
 import csdk.symeig as symeig_module
-from csdk.polar import polar_modified
-from csdk.csd import build_B
-from csdk.symeig import (
-    spectral_split,
-    symeig_direct,
-    symeig_interval,
-    symeig_sdc,
-)
-from csdk.testgen import gen_rank_deficient_haar, nint
+from csdk.symeig import spectral_split, symeig_direct, symeig_sdc
 
 
 def rand_herm(n, seed):
@@ -134,40 +126,3 @@ class TestSymeigDirect:
         b = rand_herm(15, seed=23)
         res = symeig_direct(b)
         assert abs(np.trace(b).real - np.sum(res.lam)) <= 1e2 * 15 * U_ROUNDOFF * norm_fro(b)
-
-
-class TestSymeigInterval:
-    def test_window_selects_inner_pair(self):
-        b = np.diag([-0.5, 0.5, 2.0]).astype(complex)
-        v, lam = symeig_interval(b, -1.0, 1.0)
-        np.testing.assert_allclose(lam, [-0.5, 0.5], atol=1e-14)
-        assert v.shape == (3, 2)
-
-    def test_empty_window(self):
-        v, lam = symeig_interval(2 * np.eye(3, dtype=complex), -1.0, 1.0)
-        assert lam.size == 0
-        assert v.shape == (3, 0)
-
-    def test_inverted_window_rejected(self):
-        with pytest.raises(ValueError):
-            symeig_interval(np.eye(2, dtype=complex), 1.0, -1.0)
-
-    def test_split_point_on_eigenvalue_signals(self):
-        b = np.diag([0.0, 1.1, 2.0]).astype(complex)
-        with pytest.raises(ConvergenceError):
-            symeig_interval(b, -1.0, 1.0)  # splits exactly at 1.1
-
-    def test_rank_deficient_shifted_difference(self):
-        # The shifted difference of the two Hermitian polar factors of a
-        # rank-deficient isometry has exactly r eigenvalues in [-1, 1] and
-        # the rest at 2.
-        n = 20
-        r = nint(3 * n / 4)
-        a = gen_rank_deficient_haar(n, seed=6)
-        h1 = polar_modified(a[:n], smax=singular_values(a[:n])[0]).h
-        h2 = polar_modified(a[n:], smax=singular_values(a[n:])[0]).h
-        b = build_B(h1, h2, a, 2.0)
-        v, lam = symeig_interval(b, -1.0, 1.0)
-        assert lam.shape[0] == r
-        assert np.all(np.abs(lam) <= 1.0 + 1e-10)
-        assert norm_fro(v.conj().T @ v - np.eye(r)) <= 50 * n * U_ROUNDOFF
