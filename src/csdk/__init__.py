@@ -2,9 +2,9 @@
 isometries, computed from two polar decompositions and one Hermitian
 eigendecomposition.
 
-The top level holds the user API.  `csd` takes its polar factors from
-block SVDs by default; `CsdOptions(polar_method="qdwh")` or `"zolo"`
-selects the paper's rational sign-function iterations instead.  The
+The top level holds the user API.  `csd` works from one SVD per block
+by default; `CsdOptions(polar_method="qdwh")` or `"zolo"` selects the
+paper's rational sign-function iterations for the polar factors instead.  The
 supporting factorization stack (those polar iterations, the spectral
 divide-and-conquer eigensolver) and the seeded benchmark generators are
 imported from their submodules: `csdk.polar`, `csdk.symeig`,

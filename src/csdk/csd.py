@@ -13,32 +13,33 @@ near 0 or pi/2, where diagonalizing H1 or H2 directly is hopeless.  mu = 0
 at full rank; below it mu = 2 moves the null space's eigenvalue to 2,
 cleanly separated from the [-1, 1] band of the active angles.
 
-The two polar decompositions are independent, and on the default svd
-route, whose blocks read no rank, so are the distance gate and the
-eigensolve at mu = 0.  `csd` has one schedule for every call: it hands
-off the top block's polar, then (with a worker, on svd) the gate, then
-the top half of the finish, and runs the bottom block's polar, the
-eigensolve and the bottom half itself.  Where BLAS runs one thread and a
-second core is free, a worker thread started for the call takes the
-handed-off jobs; elsewhere each runs on the calling thread as it is
-handed off, and the gate runs first.  The worker pays once its share
-outlasts its fixed cost per call, so the size from which it is started
-depends on the polar route's work per block: n = 90 on zolo, 100 on qdwh
-and 140 on svd.
-Either way the result is bitwise the same.
-
 The decomposition is backward stable whenever the two polar
 decompositions and the eigendecomposition are, so any backward-stable
-Hermitian eigensolver serves.  Every polar route uses LAPACK's
-(`symeig_direct`, or `symeig_hermitian` on B built exactly Hermitian);
-the spectral divide-and-conquer solver stays standalone in
-`csdk.symeig`.  The whole path runs on numpy's LAPACK.
+Hermitian eigensolver serves, and the polar route can be picked on speed
+alone.  The default, "svd", takes one full SVD per block, A_i = P_i
+Sigma_i Q_i*, and never forms W_i = P_i Q_i*, H_i = Q_i Sigma_i Q_i* or B:
+it works in Q1's basis, where H1 is diagonal.  With M = Q1* Q2, the gate
+and the rank come from G = Q1* A*A Q1 = M Sigma2^2 M* + Sigma1^2 (its
+Gershgorin discs, or `eigvalsh(G)` where they do not settle it), and
+B' = Q1* B Q1 = M Sigma2 M* - Sigma1 + mu (I - G) is eigendecomposed by
+`symeig_deflating`, one LAPACK solve per diagonal block that B' splits
+into.  On clean input Q1 nearly diagonalizes B, so most blocks are 1x1.
+The finish reads U_i = P_i Z_i and the diagonals colsum(sigma_i |Z_i|^2)
+from the eigenvectors Y of B', with Z1 = Y and Z2 = M* Y.  The route is
+unconditionally stable, so it needs no thresholds, no fixed-interval
+variant and no QR fix, and on a few cores it is faster than either sign
+iteration.  The whole path runs on numpy's LAPACK.
 
-The same theorem lets the polar route be picked on speed alone.  The
-default, "svd", takes each block's polar factors from one full SVD of the
-block (`polar_svd`).  It is unconditionally stable, so it needs no
-thresholds, no fixed-interval variant and no QR fix, and on a few cores
-it is faster than either sign iteration.
+The blocks' factorizations are independent, and `csd` has one schedule
+for every call: it hands off the top block's SVD or polar, then (on svd)
+the gate, then the top half of the finish, and runs the bottom block's
+factorization, the eigensolve and the bottom half itself.  Where BLAS runs
+one thread and a second core is free, a worker thread started for the
+call takes the handed-off jobs; elsewhere each runs on the calling thread
+as it is handed off.  The worker pays once its share outlasts its fixed
+cost per call, so the size from which it is started depends on the
+route's work per block: n = 90 on zolo, 100 on qdwh and 140 on svd.
+Either way the result is bitwise the same.
 
 The paper's opt-in routes, "qdwh" and "zolo", run a sign iteration
 instead.  There each block's singular values, from one values-only SVD,
@@ -50,7 +51,9 @@ fixed-interval polar variant, the same sign iteration run on [EPSILON,
 1].  For ill-conditioned blocks orthonormality of the resulting W is then
 restored from the identity W = Q Q_H*, where Q and Q_H are the Q-factors
 of A_i and of its Hermitian polar factor, which share one R-factor under
-the nonnegative-diagonal QR convention.
+the nonnegative-diagonal QR convention.  B is then eigendecomposed whole
+by LAPACK (`symeig_direct`).  The spectral divide-and-conquer solver
+stays standalone in `csdk.symeig`.
 """
 
 from __future__ import annotations
@@ -75,18 +78,20 @@ from .errors import (
 )
 from .kernel import (
     U_ROUNDOFF,
+    SvdFactors,
     hermitian_part,
     norm_fro,
     qr_factor,
     singular_values,
+    svd_factor,
 )
 from .isometry import dist_from_singular_values
 from .polar import EPSILON, PolarFactors, polar_iterative, polar_modified, polar_svd
-from .symeig import symeig_direct, symeig_hermitian
+from .symeig import symeig_deflating, symeig_direct
 
 # perfbench/layers.py wraps these names in this module, but csd calls none
 # of them; they go with ROADMAP item 1.
-dist_to_partial_isometry = svd_factor = symeig_interval = symeig_sdc = None
+dist_to_partial_isometry = symeig_interval = symeig_sdc = None
 extract_cs = cs_from_lambda = None
 
 _log = logging.getLogger("csdk")
@@ -94,6 +99,13 @@ _log = logging.getLogger("csdk")
 # Inputs farther than this from any partial isometry are refused: the
 # backward-error guarantees are asymptotic in that distance.
 _DISTANCE_GATE = 0.1
+
+# The svd route's gate reads the Gershgorin discs of G = Q1* A*A Q1, whose
+# eigenvalues are A's squared singular values.  When every disc ends below
+# 0.01 = 0.1^2 or lies in [0.81, 1.21], the squares of [0.9, 1.1], A is
+# inside the gate and its rank is the number of discs in that interval.
+_GRAM_LOWER = 0.01
+_GRAM_UPPER = (0.81, 1.21)
 
 _R_AGREEMENT_FACTOR = 1e3
 
@@ -161,16 +173,15 @@ _OVERLAP_PAYS = _overlap_pays(os.environ, _usable_cores())
 class CsdOptions:
     """Knobs for the decomposition.
 
-    polar_method picks the route for the two polar decompositions.  The
-    default "svd" takes each block's polar factors from its SVD, the
-    fastest route on a few cores.  The paper's routes "qdwh" and "zolo"
-    run that sign iteration on every block, the fixed-interval variant
-    included.  The route also sets the schedule's two other choices: the
-    smallest n from which a worker thread may take half of the work, and
-    whether the distance gate is put off to that worker, beside the
-    eigensolve, as on "svd" only (see `csd`).  Every route
-    eigendecomposes B with LAPACK's Hermitian solver.  The rank, and with
-    it the branch, is read off A itself.
+    polar_method picks the route for the two blocks.  The default "svd"
+    works from each block's SVD, the fastest route on a few cores, and
+    eigendecomposes B in the top block's singular basis, block by block
+    where it deflates.  The paper's routes "qdwh" and "zolo" run that sign
+    iteration on every block, the fixed-interval variant included, and
+    eigendecompose B whole with LAPACK's Hermitian solver.  The route also
+    sets the smallest n from which a worker thread may take half of the
+    work, and where the distance gate runs (see `csd`).  The rank, and
+    with it the branch, is read off A itself.
     """
 
     polar_method: str = POLAR_METHODS[0]
@@ -267,27 +278,26 @@ def polar_via_qr_fix(
     return replace(modified, w=w), r_agreement
 
 
-# The polar routines the blocks call, as this module defines or imports
-# them (see _own_polars).
+# The routines the blocks call, the svd route's block SVD among them, as
+# this module defines or imports them (see _own_polars).
 _OWN_POLARS = {
     fn.__name__: fn
-    for fn in (polar_svd, polar_iterative, polar_modified, polar_via_qr_fix)
+    for fn in (
+        svd_factor, polar_svd, polar_iterative, polar_modified, polar_via_qr_fix
+    )
 }
 
 
 def _polar_for_block(
-    block: np.ndarray, opts: CsdOptions, rank: int | None
+    block: np.ndarray, opts: CsdOptions, rank: int
 ) -> tuple[PolarFactors, bool]:
-    """Polar factors of one block of A, plus whether the QR-fix route was
-    taken.  The svd route reads neither singular values nor the rank,
-    which `csd` may not know yet there (None); the others read the
-    block's, one values-only SVD, against the thresholds `csd` documents,
-    and hand the largest (and, at full rank, the smallest) to the polar
+    """Polar factors of one block of A on the qdwh or zolo route, plus
+    whether the QR-fix route was taken.  The block's singular values, from
+    one values-only SVD, are read against the thresholds `csd` documents,
+    and the largest (and, at full rank, the smallest) go to the polar
     routine.  This is the only place that decides which blocks take the QR
     fix.
     """
-    if opts.polar_method == "svd":
-        return polar_svd(block), False
     sigmas = singular_values(block)
     smax, smin = float(sigmas[0]), float(sigmas[-1])
     if smax == 0.0:
@@ -352,14 +362,13 @@ def _validated(a: np.ndarray, m1: int) -> np.ndarray:
     return a
 
 
-def _gated_rank(a: np.ndarray) -> int:
-    """The distance gate and the rank of A, from one values-only SVD.
+def _rank_inside_gate(sigma: np.ndarray) -> int:
+    """The distance gate on A's singular values sigma, and A's rank.
 
     d(A) = max_i min(sigma_i, |1 - sigma_i|), and inside the gate every
     sigma_i lies within 0.1 of 0 or of 1, so r = #{sigma_i > 1/2} is
     unambiguous.
     """
-    sigma = singular_values(a)
     d = dist_from_singular_values(sigma)
     if d > _DISTANCE_GATE:
         raise NotNearIsometryError(
@@ -367,6 +376,35 @@ def _gated_rank(a: np.ndarray) -> int:
             "the factorization contract does not cover such inputs"
         )
     return int(np.count_nonzero(sigma > 0.5))
+
+
+def _gated_rank(a: np.ndarray) -> int:
+    """The distance gate and the rank of A, from one values-only SVD."""
+    return _rank_inside_gate(singular_values(a))
+
+
+def _gram_gate(x: np.ndarray, sigma1: np.ndarray) -> tuple[int, np.ndarray]:
+    """The svd route's distance gate and rank, from the blocks' factors.
+
+    With X = M diag(sigma2), G = X X* + diag(sigma1^2) is Q1* A*A Q1 up to
+    O(u), so its eigenvalues are A's squared singular values.  When all of
+    G's Gershgorin discs end below _GRAM_LOWER or lie in _GRAM_UPPER,
+    which are disjoint, each of the two holds as many of G's eigenvalues
+    as discs, and the gate passes with no eigensolve.  Otherwise sigma^2
+    comes from `eigvalsh(G)`.  Returns the rank and G, exactly Hermitian.
+    """
+    g = hermitian_part(x @ x.conj().T)
+    g[np.diag_indices_from(g)] += sigma1 * sigma1
+    center = g.diagonal().real
+    radius = np.sum(np.abs(g), axis=1) - np.abs(center)
+    upper = (center - radius >= _GRAM_UPPER[0]) & (center + radius <= _GRAM_UPPER[1])
+    if np.all(upper | (center + radius <= _GRAM_LOWER)):
+        return int(np.count_nonzero(upper)), g
+    try:
+        squares = np.linalg.eigvalsh(g)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigvalsh did not converge: {exc}") from exc
+    return _rank_inside_gate(np.sqrt(np.clip(squares, 0.0, None))), g
 
 
 def _branch(mu: float, fixed: bool) -> str:
@@ -378,6 +416,23 @@ def _branch(mu: float, fixed: bool) -> str:
 def _finish_half(pf: PolarFactors, v1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One block's half of the finish: U_i = W_i V1 and diag(V1* H_i V1)."""
     return pf.w @ v1, _projected_diagonal(v1, pf.h)
+
+
+def _svd_half(f: SvdFactors, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One block's half of the finish on the svd route, from its SVD
+    A_i = P_i Sigma_i Q_i* and Z_i = Q_i* V1: U_i = W_i V1 = P_i Z_i, and
+    diag(V1* H_i V1) = colsum(sigma_i |Z_i|^2), clamped into [0, 1] as in
+    `_projected_diagonal`."""
+    weights = np.sum(f.sigma[:, np.newaxis] * (z.real**2 + z.imag**2), axis=0)
+    return f.p @ z, np.clip(weights, 0.0, 1.0)
+
+
+def _top_svd_half(
+    f1: SvdFactors, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top block's half of the svd route's finish, where Z1 = Y:
+    V1 = Q1 Y, then U1 and c."""
+    return (f1.q @ y, *_svd_half(f1, y))
 
 
 def _finish(u1, u2, v1, c, s, rank: int, mu: float, branch: str) -> CsdResult:
@@ -413,6 +468,66 @@ def _handoff(
     return done
 
 
+def _csd_polar(a: np.ndarray, m1: int, opts: CsdOptions, handoff) -> CsdResult:
+    """The qdwh and zolo routes: the gate, the two block polars, B's
+    eigendecomposition and the finish from W_i and H_i."""
+    rank = _gated_rank(a)
+    pending = handoff(_polar_for_block, a[:m1], opts, rank)
+    try:
+        pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
+    finally:
+        pf1, fix1 = pending.result()
+    mu = 0.0 if rank == a.shape[1] else 2.0
+    v1 = symeig_direct(build_B(pf1.h, pf2.h, a, mu)).v[:, :rank]
+    top_half = handoff(_finish_half, pf1, v1)
+    try:
+        u2, s = _finish_half(pf2, v1)
+    finally:
+        u1, c = top_half.result()
+    return _finish(u1, u2, v1, c, s, rank, mu, _branch(mu, fix1 or fix2))
+
+
+def _csd_svd(a: np.ndarray, m1: int, handoff) -> CsdResult:
+    """The svd route, in the top block's right singular basis Q1: the gate,
+    the rank and B' = Q1* B Q1 come from the blocks' SVD factors, and no
+    W_i, H_i or B is formed."""
+    n = a.shape[1]
+    pending = handoff(svd_factor, a[:m1])
+    try:
+        try:
+            f2 = svd_factor(a[m1:])
+        finally:
+            f1 = pending.result()
+    except Exception:
+        _gated_rank(a)  # its error wins over a block's
+        raise
+    # Q1* H1 Q1 = diag(sigma1) and, with M = Q1* Q2 and X = M diag(sigma2),
+    # Q1* H2 Q1 = X M* and Q1* A*A Q1 = X X* + diag(sigma1^2) = G.
+    m = f1.q.conj().T @ f2.q
+    x = m * f2.sigma
+    gate = handoff(_gram_gate, x, f1.sigma)
+    b = hermitian_part(x @ m.conj().T)
+    del x
+    diagonal = np.diag_indices(n)
+    b[diagonal] -= f1.sigma
+    rank, g = gate.result()
+    mu = 0.0 if rank == n else 2.0
+    if mu != 0.0:
+        b -= mu * g
+        b[diagonal] += mu
+    del g
+    y = symeig_deflating(b).v[:, :rank]
+    del b
+    top_half = handoff(_top_svd_half, f1, y)
+    try:
+        z2 = m.conj().T @ y
+        del m
+        u2, s = _svd_half(f2, z2)
+    finally:
+        v1, u1, c = top_half.result()
+    return _finish(u1, u2, v1, c, s, rank, mu, _branch(mu, False))
+
+
 def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     """CS decomposition of A = [A1; A2], A1 of m1 rows, both blocks taller
     than square.
@@ -425,10 +540,17 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     above the eigenvalues of the r active angles, so the r smallest
     eigenpairs of B give V1, and the output is economical, k = r columns.
 
-    On the default svd route each block's W_i and H_i come from its SVD
-    on both branches; W_i has orthonormal columns, so U_i = W_i V1 does
-    too.  On the qdwh and zolo routes each block's polar route is chosen
-    on its own.  At full rank, a block whose sigma_n / sigma_1 is at least
+    The default svd route works from each block's SVD A_i = P_i Sigma_i
+    Q_i*, on both branches, in Q1's basis: with M = Q1* Q2, it reads the
+    gate and the rank off G = Q1* A*A Q1 (Gershgorin discs, or
+    `eigvalsh(G)` when they do not settle it), and eigendecomposes
+    B' = Q1* B Q1 = M Sigma2 M* - Sigma1 + mu (I - G) block by block
+    where B' is diagonal up to roundoff outside its blocks.  From the
+    eigenvectors Y of B', V1 = Q1 Y and U_i = P_i Z_i with Z1 = Y and
+    Z2 = M* Y, so U_i has orthonormal columns.
+
+    On the qdwh and zolo routes each block's polar route is chosen on its
+    own.  At full rank, a block whose sigma_n / sigma_1 is at least
     EPSILON = 1e-15 runs the plain iterative polar; one below it is
     rerouted through the fixed-interval polar plus QR fix.  Below full
     rank both blocks go through the fixed-interval polar variant, and U_i
@@ -436,26 +558,27 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     value to 1 - O(u).  A block whose r-th singular value is below 1e-7
     additionally gets the QR fix.
 
-    Every call runs one schedule: the top block's polar is handed off,
-    then the bottom block's runs, then B is eigendecomposed, then the top
-    half of the finish (U1 and diag(V1* H1 V1)) is handed off and the
-    bottom half formed.  From n = 90 columns up on zolo, 100 on qdwh and
-    140 on svd, where the work a second thread takes over outlasts the
-    cost of a worker started for the call, a worker thread takes the
-    handed-off jobs when OpenBLAS runs one thread (the first of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that is set
-    reads 1 when this module is imported) and the process may use two
-    cores or more; with more BLAS threads the two would compete for the
-    cores and run slower.  Otherwise, and during interpreter shutdown,
-    each handed-off job runs on the calling thread when it is handed off.
-    With a worker on svd, whose blocks read no rank, the distance gate
-    is handed off too, beside an eigendecomposition of B at mu = 0, which
-    is redone at mu = 2 only if the rank comes back below n; everywhere
-    else the gate runs first and B is eigendecomposed once, at its mu.
-    The result is bitwise the same either way, and so is the error
-    raised: the gate's before any block's, the top block's before the
-    bottom's, and that of the mu = 0 eigensolve only at full rank.  The
-    worker has exited before this returns.
+    Every call runs one schedule.  On svd: the top block's SVD is handed
+    off and the bottom block's runs, then the gate on G is handed off while
+    B' is formed, B' is eigendecomposed once, at its final mu, and the top
+    half of the finish (V1, U1 and c) is handed off while the bottom half
+    is formed.  On qdwh and zolo the gate, one values-only SVD of A, runs
+    first; then the top block's polar is handed off and the bottom block's
+    runs, B is eigendecomposed, and the top half of the finish (U1 and
+    diag(V1* H1 V1)) is handed off while the bottom half is formed.  From
+    n = 90 columns up on zolo, 100 on qdwh and 140 on svd, where the work
+    a second thread takes over outlasts the cost of a worker started for
+    the call, a worker thread takes the handed-off jobs when OpenBLAS runs
+    one thread (the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS that is set reads 1 when this module is imported) and
+    the process may use two cores or more; with more BLAS threads the two
+    would compete for the cores and run slower.  Otherwise, and during
+    interpreter shutdown, each handed-off job runs on the calling thread
+    when it is handed off.  The result is bitwise the same either way,
+    and so is the error raised: the gate's before any block's (on svd, a
+    failed block SVD runs the values-only gate before its error is
+    raised), and the top block's before the bottom's.  The worker has
+    exited before this returns.
     """
     _check_options(opts)
     a = _validated(a, m1)
@@ -466,47 +589,9 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
         pool = contextlib.nullcontext()
     with pool as worker:
         handoff = functools.partial(_handoff, worker, contextvars.copy_context())
-        # The svd route's block polars read no rank, so there a worker can
-        # take the gate later, beside the eigensolve.  Without one the gate
-        # runs first, so that B is eigendecomposed once, at its mu.
-        deferred = worker is not None and opts.polar_method == "svd"
-        rank = None if deferred else _gated_rank(a)
-        pending = handoff(_polar_for_block, a[:m1], opts, rank)
-        try:
-            try:
-                pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
-            finally:
-                pf1, fix1 = pending.result()
-        except Exception:
-            if rank is None:
-                _gated_rank(a)  # its error wins over a block's
-            raise
-        eig = None
-        if rank is None:
-            # The gate's values-only SVD keeps the GIL throughout, while eigh
-            # releases it, so the gate runs on the worker beside the
-            # eigensolve at mu = 0, which is right at full rank.  B is built
-            # exactly Hermitian first and goes straight to eigh: a numpy call
-            # that waits for the GIL after the handoff waits out the whole
-            # gate.
-            b = build_B(pf1.h, pf2.h, a, 0.0)
-            gate = handoff(_gated_rank, a)
-            try:
-                eig = symeig_hermitian(b)
-            except Exception:
-                if gate.result() == n:
-                    raise
-            rank = gate.result()
-        mu = 0.0 if rank == n else 2.0
-        if eig is None or mu != 0.0:
-            eig = symeig_direct(build_B(pf1.h, pf2.h, a, mu))
-        v1 = eig.v[:, :rank]
-        top_half = handoff(_finish_half, pf1, v1)
-        try:
-            u2, s = _finish_half(pf2, v1)
-        finally:
-            u1, c = top_half.result()
-    return _finish(u1, u2, v1, c, s, rank, mu, _branch(mu, fix1 or fix2))
+        if opts.polar_method == "svd":
+            return _csd_svd(a, m1, handoff)
+        return _csd_polar(a, m1, opts, handoff)
 
 
 def csd_2x2(

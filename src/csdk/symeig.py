@@ -7,7 +7,8 @@ QR factorization of that projector yields orthonormal bases of the
 subspace and its complement, the two compressed blocks decouple to
 working precision, and recursion finishes the job.  `symeig_direct`
 (LAPACK tridiagonal reduction) is both the small-block base case and the
-independent oracle.
+independent oracle.  `symeig_deflating` runs it only on the diagonal
+blocks that a nearly diagonal matrix splits into.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .kernel import hermitian_part, norm_fro
+from .kernel import U_ROUNDOFF, hermitian_part, norm_fro
 from .polar import polar_iterative
 
 _DIRECT_BLOCK = 4
@@ -31,6 +32,10 @@ _DIRECT_BLOCK = 4
 # leaves that singular value short of 1 after the schedule, and surfaces
 # as ConvergenceError from the final orthonormality check.
 _ELL_FLOOR = 1e-15
+
+# An off-diagonal entry of B above this times ||B||_F keeps its row and
+# column in one diagonal block of `symeig_deflating`.
+_COUPLING_TOL = 10.0 * U_ROUNDOFF
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,59 @@ def symeig_hermitian(bh: np.ndarray) -> SymEigResult:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh did not converge: {exc}") from exc
     return SymEigResult(_phase_normalize(v), lam, "direct")
+
+
+def _deflation_stops(b: np.ndarray) -> np.ndarray:
+    """Ends of the contiguous diagonal blocks that Hermitian B splits into.
+
+    Indices i < j stay in one block, with every index between them, when
+    |b_ij| > 10 u ||B||_F.  The split is kept only if the entries it drops
+    have a Frobenius norm of at most n u ||B||_F, a backward error of
+    roundoff size; otherwise B is one block.  A B whose diagonal ascends
+    keeps its blocks small, since entries that couple far-apart indices are
+    then rare.
+    """
+    n = b.shape[0]
+    mag = np.abs(b)
+    norm = float(np.sqrt(np.sum(mag * mag)))
+    coupled = np.triu(mag > _COUPLING_TOL * norm, 1)
+    # The last index each row is coupled to, itself if none.
+    last = np.where(
+        coupled.any(axis=1), n - 1 - np.argmax(coupled[:, ::-1], axis=1), np.arange(n)
+    )
+    stops = np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
+    block = np.repeat(np.arange(stops.size), np.diff(stops, prepend=0))
+    dropped = mag[block[:, np.newaxis] != block[np.newaxis, :]]
+    if np.sqrt(np.sum(dropped * dropped)) > n * U_ROUNDOFF * norm:
+        return np.array([n])
+    return stops
+
+
+def symeig_deflating(b: np.ndarray) -> SymEigResult:
+    """Eigendecomposition of an exactly Hermitian B, block by block.
+
+    B is split where `_deflation_stops` finds it decoupled; each block
+    larger than 1x1 goes to `symeig_direct`, and a 1x1 block is its own
+    eigenpair.  The eigenpairs are then sorted by ascending eigenvalue.
+    """
+    stops = _deflation_stops(b)
+    if stops.size == 1:
+        return symeig_direct(b)
+    n = b.shape[0]
+    v = np.zeros((n, n), dtype=np.complex128)
+    lam = np.empty(n)
+    start = 0
+    for stop in stops:
+        if stop - start == 1:
+            v[start, start] = 1.0
+            lam[start] = b[start, start].real
+        else:
+            res = symeig_direct(b[start:stop, start:stop])
+            v[start:stop, start:stop] = res.v
+            lam[start:stop] = res.lam
+        start = stop
+    order = np.argsort(lam, kind="stable")
+    return SymEigResult(v[:, order], lam[order], "deflating")
 
 
 def spectral_split(

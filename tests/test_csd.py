@@ -44,13 +44,15 @@ from csdk.isometry import (
 )
 from csdk.kernel import U_ROUNDOFF, norm_2, norm_fro, singular_values
 from csdk.polar import polar_modified, polar_svd
-from csdk.symeig import symeig_direct
+from csdk.symeig import _deflation_stops, symeig_deflating, symeig_direct
 from csdk.testgen import (
     TestCase,
+    add_noise,
     gen_clustered,
     gen_haar_stiefel,
     gen_rank_deficient_clustered,
     gen_rank_deficient_haar,
+    gen_with_singular_values,
     generate,
     nint,
 )
@@ -782,8 +784,8 @@ def _count_factorizations(monkeypatch) -> dict:
 class TestFactorizations:
     @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
     def test_svd_route_runs_gate_and_block_svds_only(self, monkeypatch, deficient):
-        # The gate's values-only SVD of A, then one SVD per block inside
-        # polar_svd; no block singular values or QRs besides.
+        # One SVD per block; the gate reads the blocks' factors, so no
+        # values-only SVD of A runs, and no QR.
         n = 12
         if deficient:
             a = gen_rank_deficient_haar(n, seed=2)
@@ -791,7 +793,7 @@ class TestFactorizations:
             a = gen_haar_stiefel(2 * n, n, seed=2)
         counts = _count_factorizations(monkeypatch)
         csd(a, n, CsdOptions(polar_method="svd"))
-        assert counts == {"singular_values": 1, "svd_factor": 2, "qr_factor": 0}
+        assert counts == {"singular_values": 0, "svd_factor": 2, "qr_factor": 0}
 
     @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
     def test_default_route_runs_no_sign_iteration(self, monkeypatch, deficient):
@@ -830,41 +832,43 @@ class TestFactorizations:
     ):
         # The block's singular values give the sign iteration its scale and
         # interval, so no QR sigma_min estimate runs, and each Gram-form
-        # round solves its shifted Gram matrices with numpy's LU.
+        # round solves its shifted Gram matrices with numpy's LU.  These
+        # inputs take no QR fix, so csd's QR routine never runs, nor does a
+        # Cholesky factorization anywhere.
         n = 12
         if deficient:
             a = gen_rank_deficient_haar(n, seed=2)
         else:
             a = generate(TestCase(1, False, n, 1))
         counts = _count_calls(
-            monkeypatch,
-            ("csdk.polar",),
-            ("qr_factor", "cholesky_factor"),
+            monkeypatch, ("csdk.csd", "numpy.linalg"), ("qr_factor", "cholesky")
         )
-        csd(a, n, CsdOptions(polar_method=method))
-        assert counts == {"qr_factor": 0, "cholesky_factor": 0}
+        res = csd(a, n, CsdOptions(polar_method=method))
+        assert res.branch in ("full_rank", "rank_deficient")
+        assert counts == {"qr_factor": 0, "cholesky": 0}
 
     @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
     @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
     def test_one_direct_eigensolve_on_every_route(self, monkeypatch, method, deficient):
-        # The polar route picks only the polar route: B always goes to
-        # LAPACK's eigensolver, once, and no spectral split runs.  With no
-        # worker (n = 12) the gate runs first, so B is eigendecomposed at
-        # its final mu alone, never speculatively at mu = 0.
+        # B is eigendecomposed once, at its final mu, by LAPACK's
+        # eigensolver, and no spectral split runs.  On qdwh and zolo that is
+        # one symeig_direct of B; on svd, one symeig_deflating of B', which
+        # runs symeig_direct on each of its blocks larger than 1x1.
         n = 12
         if deficient:
             a = gen_rank_deficient_haar(n, seed=2)
         else:
             a = gen_haar_stiefel(2 * n, n, seed=2)
         counts = _count_calls(
-            monkeypatch, ("csdk.csd", "csdk.symeig"), ("symeig_direct", "spectral_split")
+            monkeypatch, ("csdk.csd",), ("symeig_direct", "symeig_deflating")
         )
-        # symeig_direct calls symeig_hermitian in csdk.symeig, so count the
-        # latter in csdk.csd only.
-        speculative = _count_calls(monkeypatch, ("csdk.csd",), ("symeig_hermitian",))
+        splits = _count_calls(monkeypatch, ("csdk.symeig",), ("spectral_split",))
         csd(a, n, CsdOptions(polar_method=method))
-        assert counts == {"symeig_direct": 1, "spectral_split": 0}
-        assert speculative == {"symeig_hermitian": 0}
+        if method == "svd":
+            assert counts == {"symeig_direct": 0, "symeig_deflating": 1}
+        else:
+            assert counts == {"symeig_direct": 1, "symeig_deflating": 0}
+        assert splits == {"spectral_split": 0}
 
     def test_perfbench_tracer_installs(self):
         # `perfbench/run.py --trace 1` wraps names in csdk.csd, csdk.polar,
@@ -891,7 +895,10 @@ class TestFactorizations:
                     if method != "svd":
                         built = tracer.counts["zolotarev.factor_calls"] - before
                         assert built > 0, (method, dict(tracer.counts))
-            assert tracer.counts["polar.block_calls"] >= 12, dict(tracer.counts)
+            # Two block polars per qdwh and zolo call; the svd route runs
+            # no polar, but each call's two block SVDs are counted.
+            assert tracer.counts["polar.block_calls"] == 8, dict(tracer.counts)
+            assert tracer.counts["kernel.svd_calls"] == 4, dict(tracer.counts)
             """
         )
         env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
@@ -904,6 +911,171 @@ class TestFactorizations:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def _eigensolved_b(monkeypatch, a: np.ndarray, m1: int):
+    """B' as the svd route hands it to its eigensolver, and the result."""
+    seen = []
+    solver = csdk_csd.symeig_deflating
+
+    def recording(b):
+        seen.append(b.copy())
+        return solver(b)
+
+    monkeypatch.setattr(csdk_csd, "symeig_deflating", recording)
+    res = csd(a, m1)
+    (b,) = seen
+    return b, res
+
+
+def _ascending_with_couplings(n: int, couplings) -> np.ndarray:
+    """diag(linspace(-1, 1, n)) with |b_ij| = |b_ji| = level u ||B||_F for
+    each (i, j, level), where ||B||_F is that of the diagonal."""
+    b = np.diag(np.linspace(-1.0, 1.0, n)).astype(complex)
+    norm = norm_fro(b)
+    for i, j, level in couplings:
+        b[i, j] = level * U * norm * 1j
+        b[j, i] = np.conj(b[i, j])
+    return b
+
+
+def _with_small_columns(n: int, k: int, scale: float) -> np.ndarray:
+    """[U1 C V1*; U2 S V1*] with distinct angles, whose last k (c, s) pairs
+    are scaled down to singular values of A equal to scale."""
+    theta = np.linspace(0.1, 1.4, n)
+    weight = np.where(np.arange(n) < n - k, 1.0, scale)
+    factors = (gen_haar_stiefel(n, n, seed=s) for s in (21, 22, 23))
+    return stack_cs(*factors, weight * np.cos(theta), weight * np.sin(theta))
+
+
+class TestSvdRoute:
+    """The svd route works in the top block's right singular basis Q1: B'
+    = Q1* B Q1 is eigendecomposed in the diagonal blocks it splits into,
+    and the gate and rank come from G = Q1* A*A Q1."""
+
+    def test_clean_haar_deflates_fully_with_no_eigh(self, monkeypatch):
+        # Q1 diagonalizes B to roundoff, so every block of B' is 1x1.  The
+        # outcome is read at rounding level: on this input the largest
+        # off-diagonal entry and the dropped mass both sit near 0.6 of
+        # their bounds.
+        n = 60
+        a = generate(TestCase(1, False, n, 5))
+        eighs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigh",))
+        b, res = _eigensolved_b(monkeypatch, a, n)
+        np.testing.assert_array_equal(_deflation_stops(b), np.arange(1, n + 1))
+        assert eighs == {"eigh": 0}
+        assert stability_report(a, res).residual_2norm <= 50 * n * U
+
+    def test_clean_clustered_deflates_into_smaller_blocks(self, monkeypatch):
+        # Clustered angles leave B' coupled within each cluster only.
+        n = 120
+        b, res = _eigensolved_b(monkeypatch, generate(TestCase(4, False, n, 1)), n)
+        sizes = np.diff(_deflation_stops(b), prepend=0)
+        assert sizes.size > 2 and 1 < sizes.max() < n
+        assert res.rank == nint(3 * n / 4)
+
+    @pytest.mark.parametrize("class_id", [1, 2, 3, 4])
+    def test_noisy_input_is_one_block(self, monkeypatch, class_id):
+        n = 40
+        b, _ = _eigensolved_b(monkeypatch, generate(TestCase(class_id, True, n, 1)), n)
+        assert _deflation_stops(b).tolist() == [n]
+
+    def test_zero_b_needs_no_division(self, monkeypatch):
+        # The balanced stack's two blocks are equal, so B' is exactly 0.
+        n = 6
+        a = np.vstack([np.eye(n), np.eye(n)]).astype(complex) / np.sqrt(2)
+        with np.errstate(divide="raise", invalid="raise"):
+            b, res = _eigensolved_b(monkeypatch, a, n)
+            stops = _deflation_stops(b)
+        assert not np.any(b)
+        np.testing.assert_array_equal(stops, np.arange(1, n + 1))
+        np.testing.assert_allclose(res.theta, np.full(n, np.pi / 4), atol=1e-14)
+
+    def test_entries_above_ten_u_join_their_block(self):
+        # 20 u ||B||_F couples indices 3 and 5, and with them 4; 5 u ||B||_F
+        # between 10 and 11 is dropped.
+        n = 50
+        b = _ascending_with_couplings(n, ((3, 5, 20.0), (10, 11, 5.0)))
+        expected = [1, 2, 3, *range(6, n + 1)]
+        assert _deflation_stops(b).tolist() == expected
+        res = symeig_deflating(b)
+        np.testing.assert_allclose(res.lam, np.linalg.eigvalsh(b), atol=n * U)
+        assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= 10 * U
+        assert norm_2(b @ res.v - res.v * res.lam) <= n * U
+
+    @pytest.mark.parametrize("level, split", [(5.0, False), (0.5, True)])
+    def test_dropped_mass_above_n_u_keeps_one_block(self, monkeypatch, level, split):
+        # Every off-diagonal entry is below 10 u ||B||_F, but together they
+        # drop about level * n u ||B||_F: above n u ||B||_F, B goes to one
+        # eigh whole.
+        n = 50
+        b = _ascending_with_couplings(
+            n, ((i, j, level) for i in range(n) for j in range(i + 1, n))
+        )
+        stops = _deflation_stops(b).tolist()
+        assert stops == (list(range(1, n + 1)) if split else [n])
+        eighs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigh",))
+        res = symeig_deflating(b)
+        assert eighs == {"eigh": 0 if split else 1}
+        np.testing.assert_allclose(res.lam, np.linalg.eigvalsh(b), atol=n * U)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            pytest.param(0.91 * gen_haar_stiefel(80, 40, seed=3), id="scaled-0.91"),
+            pytest.param(1.09 * gen_haar_stiefel(80, 40, seed=3), id="scaled-1.09"),
+            pytest.param(gen_rank_deficient_haar(40, seed=3), id="rank-deficient"),
+            pytest.param(_with_small_columns(40, 10, 0.05), id="sigma-0.05"),
+        ],
+    )
+    def test_gate_passes_on_gershgorin_discs(self, monkeypatch, a):
+        eigvalshs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigvalsh",))
+        res = csd(a, 40)
+        assert eigvalshs == {"eigvalsh": 0}
+        assert res.rank == np.count_nonzero(singular_values(a) > 0.5)
+
+    @pytest.mark.parametrize("scale", [0.89, 1.11])
+    def test_gate_refuses_tight_discs_outside_the_intervals(self, monkeypatch, scale):
+        # G = scale^2 I up to roundoff: its discs are tight, but at 0.7921
+        # or 1.2321 they lie in neither interval, so eigvalsh decides.
+        a = scale * gen_haar_stiefel(32, 16, seed=3)
+        eigvalshs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigvalsh",))
+        with pytest.raises(NotNearIsometryError):
+            csd(a, 16)
+        assert eigvalshs == {"eigvalsh": 1}
+
+    @pytest.mark.parametrize("d", [0.09, 0.11])
+    @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
+    def test_gate_falls_back_to_eigvalsh(self, monkeypatch, d, deficient):
+        # Singular values spread over [1 - d, 1 + d], and below full rank
+        # over [0, d] too, widen G's discs past the intervals; sigma^2 then
+        # comes from eigvalsh(G), and csd refuses exactly the inputs that
+        # dist_to_partial_isometry puts beyond 0.1.
+        n = 16
+        sigma = np.linspace(1.0 - d, 1.0 + d, n)
+        if deficient:
+            sigma[-4:] = np.linspace(0.0, d, 4)
+        a = gen_with_singular_values(2 * n, n, sigma, seed=4)
+        assert abs(dist_to_partial_isometry(a) - d) <= 1e-12
+        eigvalshs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigvalsh",))
+        if d > 0.1:
+            with pytest.raises(NotNearIsometryError, match=f"{d:.3g}"):
+                csd(a, n)
+        else:
+            res = csd(a, n)
+            assert res.rank == np.count_nonzero(sigma > 0.5)
+            rep = stability_report(a, res)
+            assert rep.residual_2norm <= 10 * rep.d_of_a
+        assert eigvalshs == {"eigvalsh": 1}
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-10, 1e-6])
+    @pytest.mark.parametrize("class_id", [1, 2, 3, 4])
+    def test_rank_from_gram_matches_svd_rank(self, class_id, noise):
+        n = 40
+        a = add_noise(generate(TestCase(class_id, False, n, 2)), noise, seed=3)
+        res = csd(a, n)
+        assert res.rank == np.count_nonzero(singular_values(a) > 0.5)
+        assert res.rank == TestCase(class_id, False, n, 2).rank
 
 
 def _full_rank_ill_conditioned(n: int = 8) -> np.ndarray:
@@ -939,18 +1111,35 @@ def overlapping(monkeypatch):
     monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
 
 
-def _recording_block_threads(monkeypatch, m1: int) -> dict[str, list[str]]:
-    """Patch _polar_for_block to record which thread ran the top and the
-    bottom block of a call split at row m1."""
-    threads: dict[str, list[str]] = {"top": [], "bottom": []}
-    polar_for_block = csdk_csd._polar_for_block
+def _patch_block_jobs(monkeypatch, job) -> None:
+    """Run each block's job as job(block, run), where run(block) is the job
+    as shipped: svd_factor on the svd route, _polar_for_block on the
+    others.  The patched svd_factor counts as csd's own, since these
+    patches are safe on two threads, so the worker still runs."""
+    svd_factor, polar_for_block = csdk_csd.svd_factor, csdk_csd._polar_for_block
 
-    def recording(block, opts, rank):
+    def svd_job(block):
+        return job(block, svd_factor)
+
+    def polar_job(block, opts, rank):
+        return job(block, lambda b: polar_for_block(b, opts, rank))
+
+    monkeypatch.setattr(csdk_csd, "svd_factor", svd_job)
+    monkeypatch.setitem(csdk_csd._OWN_POLARS, "svd_factor", svd_job)
+    monkeypatch.setattr(csdk_csd, "_polar_for_block", polar_job)
+
+
+def _recording_block_threads(monkeypatch, m1: int) -> dict[str, list[str]]:
+    """Record which thread ran the top and the bottom block of a call
+    split at row m1."""
+    threads: dict[str, list[str]] = {"top": [], "bottom": []}
+
+    def recording(block, run):
         side = "top" if block.shape[0] == m1 else "bottom"
         threads[side].append(threading.current_thread().name)
-        return polar_for_block(block, opts, rank)
+        return run(block)
 
-    monkeypatch.setattr(csdk_csd, "_polar_for_block", recording)
+    _patch_block_jobs(monkeypatch, recording)
     return threads
 
 
@@ -1093,12 +1282,13 @@ class TestConcurrentBlockPolars:
     def test_replaced_polar_routine_runs_in_turn(self, overlapping, monkeypatch):
         # A replacement, say a profiler's wrapper, need not be thread-safe.
         threads = []
+        svd_factor = csdk_csd.svd_factor
 
-        def recording_polar_svd(block):
+        def recording_svd_factor(block):
             threads.append(threading.current_thread().name)
-            return polar_svd(block)
+            return svd_factor(block)
 
-        monkeypatch.setattr(csdk_csd, "polar_svd", recording_polar_svd)
+        monkeypatch.setattr(csdk_csd, "svd_factor", recording_svd_factor)
         csd(gen_haar_stiefel(16, 8, seed=5), 8)
         assert threads == [threading.current_thread().name] * 2
 
@@ -1109,16 +1299,15 @@ class TestConcurrentBlockPolars:
         # and 8 in the second.
         held, release = threading.Event(), threading.Event()
         threads = {}
-        polar_for_block = csdk_csd._polar_for_block
 
-        def holding(block, opts, rank):
+        def holding(block, run):
             threads[block.shape[0]] = threading.current_thread()
             if block.shape[0] == 5:
                 held.set()
                 assert release.wait(30)
-            return polar_for_block(block, opts, rank)
+            return run(block)
 
-        monkeypatch.setattr(csdk_csd, "_polar_for_block", holding)
+        _patch_block_jobs(monkeypatch, holding)
         first = threading.Thread(target=csd, args=(gen_haar_stiefel(12, 4, seed=9), 5))
         first.start()
         try:
@@ -1155,9 +1344,8 @@ class TestConcurrentBlockPolars:
         # spills into the next call.
         n, m1 = 4, 5
         top_done = threading.Event()
-        polar_for_block = csdk_csd._polar_for_block
 
-        def blocks(block, opts, rank):
+        def blocks(block, run):
             side = "top" if block.shape[0] == m1 else "bottom"
             if side == "top":
                 # The top block finishes well after the bottom one fails.
@@ -1165,54 +1353,53 @@ class TestConcurrentBlockPolars:
                 top_done.set()
             if side in failing:
                 raise RuntimeError(side)
-            return polar_for_block(block, opts, rank)
+            return run(block)
 
-        monkeypatch.setattr(csdk_csd, "_polar_for_block", blocks)
+        _patch_block_jobs(monkeypatch, blocks)
         a = gen_haar_stiefel(m1 + 7, n, seed=6)
         with pytest.raises(RuntimeError, match=f"^{raised}$"):
             csd(a, m1)
         assert top_done.is_set()
 
     @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
-    def test_svd_route_gates_on_the_worker_beside_the_eigensolve(
+    def test_svd_gate_follows_both_block_svds_and_one_eigensolve_runs(
         self, overlapping, monkeypatch, deficient
     ):
-        # The svd route's blocks read no rank, so the gate's SVD waits for
-        # the worker while the caller eigendecomposes B at mu = 0; only a
-        # rank below n sends B back to the eigensolver, at mu = 2.
+        # The svd route's gate reads both blocks' factors, so it runs, on
+        # the worker, once both block SVDs are done; B' is then
+        # eigendecomposed once, at its final mu: at mu = 2 below full rank,
+        # where the null space's n - r eigenvalues of B' sit at 2.
         n = 8
         a = _full_or_deficient(n, deficient)
-        gates, eigensolves, mus = [], [], []
-        singular_values = csdk_csd.singular_values
-        symeig_hermitian = csdk_csd.symeig_hermitian
-        symeig_direct = csdk_csd.symeig_direct
-        build_b = csdk_csd.build_B
+        events, eigensolves = [], []
+        gram_gate, symeig_deflating = csdk_csd._gram_gate, csdk_csd.symeig_deflating
 
-        def gate(x):
-            gates.append(threading.current_thread().name)
-            return singular_values(x)
+        def block(b, run):
+            f = run(b)
+            events.append("block")
+            return f
 
-        def recording(solver):
-            def eigensolve(b):
-                eigensolves.append(threading.current_thread().name)
-                return solver(b)
+        def gate(x, sigma1):
+            events.append(("gate", threading.current_thread().name))
+            return gram_gate(x, sigma1)
 
-            return eigensolve
+        def eigensolve(b):
+            events.append("eigensolve")
+            eigensolves.append(np.linalg.eigvalsh(b))
+            return symeig_deflating(b)
 
-        def recording_build_b(h1, h2, x, mu):
-            mus.append(mu)
-            return build_b(h1, h2, x, mu)
-
-        monkeypatch.setattr(csdk_csd, "singular_values", gate)
-        monkeypatch.setattr(csdk_csd, "symeig_hermitian", recording(symeig_hermitian))
-        monkeypatch.setattr(csdk_csd, "symeig_direct", recording(symeig_direct))
-        monkeypatch.setattr(csdk_csd, "build_B", recording_build_b)
+        _patch_block_jobs(monkeypatch, block)
+        monkeypatch.setattr(csdk_csd, "_gram_gate", gate)
+        monkeypatch.setattr(csdk_csd, "symeig_deflating", eigensolve)
         res = csd(a, n)
-        (gate_thread,) = gates
-        assert gate_thread.startswith("csdk-polar")
-        assert mus == ([0.0, 2.0] if deficient else [0.0])
-        assert eigensolves == [threading.current_thread().name] * len(mus)
+        assert events[:2] == ["block", "block"]
+        (gate_event,) = [e for e in events if e[0] == "gate"]
+        assert gate_event[1].startswith("csdk-polar")
+        assert events[3:] == ["eigensolve"]
         assert res.rank == (6 if deficient else n)
+        assert res.mu == (2.0 if deficient else 0.0)
+        (lam,) = eigensolves
+        assert np.count_nonzero(lam > 1.5) == n - res.rank
 
     @pytest.mark.parametrize("method", ["qdwh", "zolo"])
     def test_routes_that_read_the_rank_gate_first(self, overlapping, monkeypatch, method):
@@ -1241,59 +1428,30 @@ class TestConcurrentBlockPolars:
     ):
         # The singular values of 0.7 A are 0.7: d(A) = 0.3 is refused.
         n, m1 = 4, 5
-        polar_for_block = csdk_csd._polar_for_block
 
-        def blocks(block, opts, rank):
+        def blocks(block, run):
             if ("top" if block.shape[0] == m1 else "bottom") in failing:
                 raise RuntimeError("block")
-            return polar_for_block(block, opts, rank)
+            return run(block)
 
-        monkeypatch.setattr(csdk_csd, "_polar_for_block", blocks)
+        _patch_block_jobs(monkeypatch, blocks)
         a = 0.7 * gen_haar_stiefel(m1 + 7, n, seed=6)
         with pytest.raises(NotNearIsometryError):
             csd(a, m1, CsdOptions(polar_method=method))
         _assert_no_worker_alive()
 
-    @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
-    def test_mu_zero_eigensolve_error_counts_only_at_full_rank(
-        self, overlapping, monkeypatch, deficient
-    ):
-        n = 8
-        a = _full_or_deficient(n, deficient)
-        expected = None
-        if deficient:
-            _concurrent_from(monkeypatch, 10**9)
-            expected = csd(a, n)
-            _concurrent_from(monkeypatch, 1)
-        symeig_hermitian = csdk_csd.symeig_hermitian
-        calls = []
-
-        def failing_at_mu_zero(b):
-            calls.append(b)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("eigh failed")
-            return symeig_hermitian(b)
-
-        monkeypatch.setattr(csdk_csd, "symeig_hermitian", failing_at_mu_zero)
-        if not deficient:
-            with pytest.raises(np.linalg.LinAlgError):
-                csd(a, n)
-        else:
-            res = csd(a, n)
-            np.testing.assert_array_equal(res.u1, expected.u1)
-            np.testing.assert_array_equal(res.theta, expected.theta)
-        _assert_no_worker_alive()
-
     @pytest.mark.parametrize("method", ROUTES)
     def test_worker_finish_half_error_propagates(self, overlapping, monkeypatch, method):
-        finish_half = csdk_csd._finish_half
+        # The svd route finishes each half from the block's SVD factors.
+        name = "_svd_half" if method == "svd" else "_finish_half"
+        finish_half = getattr(csdk_csd, name)
 
-        def failing_on_worker(pf, v1):
+        def failing_on_worker(factors, v1):
             if threading.current_thread().name.startswith("csdk-polar"):
                 raise RuntimeError("finish")
-            return finish_half(pf, v1)
+            return finish_half(factors, v1)
 
-        monkeypatch.setattr(csdk_csd, "_finish_half", failing_on_worker)
+        monkeypatch.setattr(csdk_csd, name, failing_on_worker)
         with pytest.raises(RuntimeError, match="^finish$"):
             csd(gen_haar_stiefel(16, 8, seed=5), 8, CsdOptions(polar_method=method))
         _assert_no_worker_alive()
@@ -1301,14 +1459,13 @@ class TestConcurrentBlockPolars:
     def test_worker_sees_the_callers_numpy_error_state(self, overlapping, monkeypatch):
         # Only the top block, on the worker, divides by zero.
         n, m1 = 4, 5
-        polar_for_block = csdk_csd._polar_for_block
 
-        def dividing(block, opts, rank):
+        def dividing(block, run):
             if block.shape[0] == m1:
                 np.divide(1.0, np.zeros(1))
-            return polar_for_block(block, opts, rank)
+            return run(block)
 
-        monkeypatch.setattr(csdk_csd, "_polar_for_block", dividing)
+        _patch_block_jobs(monkeypatch, dividing)
         a = gen_haar_stiefel(m1 + 7, n, seed=8)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             csd(a, m1)
