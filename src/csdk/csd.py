@@ -24,8 +24,13 @@ Gershgorin discs, or `eigvalsh(G)` where they do not settle it), and
 B' = Q1* B Q1 = M Sigma2 M* - Sigma1 + mu (I - G) is eigendecomposed by
 `symeig_deflating`, one LAPACK solve per diagonal block that B' splits
 into.  On clean input Q1 nearly diagonalizes B, so most blocks are 1x1.
-The finish reads U_i = P_i Z_i and the diagonals colsum(sigma_i |Z_i|^2)
-from the eigenvectors Y of B', with Z1 = Y and Z2 = M* Y.  The route is
+Noisy input does not split, but its couplings are tiny against the gaps
+of B's diagonal, so it takes one LAPACK solve per cluster of close
+diagonal entries and a first-order rotation for the rest, and one full
+solve only where that rotation would leave more than roundoff.  The
+finish reads U_i = P_i Z_i and the diagonals colsum(sigma_i |Z_i|^2) from
+the eigenvectors Y of B', with Z1 = Y and Z2 = M* Y, gathering columns
+where Y is a permutation.  The route is
 unconditionally stable, so it needs no thresholds, no fixed-interval
 variant and no QR fix, and on a few cores it is faster than either sign
 iteration.  The whole path runs on numpy's LAPACK.
@@ -418,13 +423,23 @@ def _finish_half(pf: PolarFactors, v1: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pf.w @ v1, _projected_diagonal(v1, pf.h)
 
 
+def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X Y; a column gather of X, with the same entries, where Y's columns
+    are columns of the identity, as where B' splits into 1x1 blocks."""
+    if np.count_nonzero(y) == y.shape[1]:
+        rows = np.argmax(y != 0, axis=0)
+        if np.all(y[rows, np.arange(y.shape[1])] == 1.0):
+            return np.ascontiguousarray(x[:, rows])
+    return x @ y
+
+
 def _svd_half(f: SvdFactors, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One block's half of the finish on the svd route, from its SVD
     A_i = P_i Sigma_i Q_i* and Z_i = Q_i* V1: U_i = W_i V1 = P_i Z_i, and
     diag(V1* H_i V1) = colsum(sigma_i |Z_i|^2), clamped into [0, 1] as in
     `_projected_diagonal`."""
     weights = np.sum(f.sigma[:, np.newaxis] * (z.real**2 + z.imag**2), axis=0)
-    return f.p @ z, np.clip(weights, 0.0, 1.0)
+    return _times(f.p, z), np.clip(weights, 0.0, 1.0)
 
 
 def _top_svd_half(
@@ -432,7 +447,7 @@ def _top_svd_half(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The top block's half of the svd route's finish, where Z1 = Y:
     V1 = Q1 Y, then U1 and c."""
-    return (f1.q @ y, *_svd_half(f1, y))
+    return (_times(f1.q, y), *_svd_half(f1, y))
 
 
 def _finish(u1, u2, v1, c, s, rank: int, mu: float, branch: str) -> CsdResult:
@@ -520,7 +535,7 @@ def _csd_svd(a: np.ndarray, m1: int, handoff) -> CsdResult:
     del b
     top_half = handoff(_top_svd_half, f1, y)
     try:
-        z2 = m.conj().T @ y
+        z2 = _times(m.conj().T, y)
         del m
         u2, s = _svd_half(f2, z2)
     finally:
@@ -545,7 +560,9 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     gate and the rank off G = Q1* A*A Q1 (Gershgorin discs, or
     `eigvalsh(G)` when they do not settle it), and eigendecomposes
     B' = Q1* B Q1 = M Sigma2 M* - Sigma1 + mu (I - G) block by block
-    where B' is diagonal up to roundoff outside its blocks.  From the
+    where B' is diagonal up to roundoff outside its blocks, and cluster by
+    cluster, with a first-order rotation between clusters, where its
+    couplings are small against its diagonal gaps.  From the
     eigenvectors Y of B', V1 = Q1 Y and U_i = P_i Z_i with Z1 = Y and
     Z2 = M* Y, so U_i has orthonormal columns.
 

@@ -8,7 +8,11 @@ subspace and its complement, the two compressed blocks decouple to
 working precision, and recursion finishes the job.  `symeig_direct`
 (LAPACK tridiagonal reduction) is both the small-block base case and the
 independent oracle.  `symeig_deflating` runs it only on the diagonal
-blocks that a nearly diagonal matrix splits into.
+blocks that a nearly diagonal matrix splits into, and where such a matrix
+does not split, because its off-diagonal mass is above roundoff, on each
+cluster of close diagonal entries: the couplings between clusters, small
+against their gaps, are rotated away to first order.  Only a matrix that
+neither splits nor is that close to diagonal is solved whole.
 """
 
 from __future__ import annotations
@@ -36,6 +40,15 @@ _ELL_FLOOR = 1e-15
 # An off-diagonal entry of B above this times ||B||_F keeps its row and
 # column in one diagonal block of `symeig_deflating`.
 _COUPLING_TOL = 10.0 * U_ROUNDOFF
+
+# Where B does not split, indices i < j of B sorted by its diagonal d share
+# one cluster of `_rotated_clusters` when |b_ij| >= this times |d_i - d_j|;
+# a smaller coupling is rotated away to first order.
+_GAP_TOL = 1e-6
+
+# The largest ||E||_F of the first-order rotation that `_rotated_clusters`
+# accepts.
+_ROTATION_MAX = 1e-4
 
 
 @dataclass(frozen=True)
@@ -74,6 +87,25 @@ def symeig_hermitian(bh: np.ndarray) -> SymEigResult:
     return SymEigResult(_phase_normalize(v), lam, "direct")
 
 
+def _joined_stops(coupled: np.ndarray) -> np.ndarray:
+    """Ends of the contiguous blocks in which the strictly upper triangular
+    pattern `coupled` keeps each coupled pair i < j, with every index
+    between them."""
+    n = coupled.shape[0]
+    # The last index each row is coupled to, itself if none.
+    last = np.where(
+        coupled.any(axis=1), n - 1 - np.argmax(coupled[:, ::-1], axis=1), np.arange(n)
+    )
+    return np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
+
+
+def _outside_blocks(stops: np.ndarray) -> np.ndarray:
+    """The entries of an n x n matrix outside its diagonal blocks that end
+    at `stops`."""
+    block = np.repeat(np.arange(stops.size), np.diff(stops, prepend=0))
+    return block[:, np.newaxis] != block[np.newaxis, :]
+
+
 def _deflation_stops(b: np.ndarray) -> np.ndarray:
     """Ends of the contiguous diagonal blocks that Hermitian B splits into.
 
@@ -87,17 +119,87 @@ def _deflation_stops(b: np.ndarray) -> np.ndarray:
     n = b.shape[0]
     mag = np.abs(b)
     norm = float(np.sqrt(np.sum(mag * mag)))
-    coupled = np.triu(mag > _COUPLING_TOL * norm, 1)
-    # The last index each row is coupled to, itself if none.
-    last = np.where(
-        coupled.any(axis=1), n - 1 - np.argmax(coupled[:, ::-1], axis=1), np.arange(n)
-    )
-    stops = np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
-    block = np.repeat(np.arange(stops.size), np.diff(stops, prepend=0))
-    dropped = mag[block[:, np.newaxis] != block[np.newaxis, :]]
+    stops = _joined_stops(np.triu(mag > _COUPLING_TOL * norm, 1))
+    dropped = mag[_outside_blocks(stops)]
     if np.sqrt(np.sum(dropped * dropped)) > n * U_ROUNDOFF * norm:
         return np.array([n])
     return stops
+
+
+def _rotated_clusters(b: np.ndarray) -> SymEigResult | None:
+    """Eigendecomposition of an exactly Hermitian B whose couplings are
+    small against the gaps of its diagonal, or None where it does not hold.
+
+    With B sorted by its diagonal d, indices i < j share one contiguous
+    cluster when |b_ij| >= _GAP_TOL |d_i - d_j|, so equal diagonals join.
+    Each cluster larger than 1x1 goes to `symeig_direct`, and its rows and
+    columns of B are rotated by its eigenvectors V_k.  What couples the
+    clusters then, F, is rotated away to first order: E_ij = F_ij /
+    (lam_j - lam_i) is skew-Hermitian, and the eigenvectors are
+    blockdiag(V_k) (I + E + E^2/2), orthonormal up to ||E||^4, with a
+    residual of (FE - EF)/2 + O(||F|| ||E||^2).  That is accepted only if
+    ||F||_F ||E||_F <= n u ||B||_F, the exact split's budget, and ||E||_F
+    <= _ROTATION_MAX.  Refused early, with no solve or product, are a
+    cluster larger than n/2 and an F with ||F||_F^2 > 2 n u ||B||_F^2,
+    which cannot meet the budget: the rotations keep ||F||_F, and no gap
+    exceeds 2 ||B||_F, so ||E||_F >= ||F||_F / (2 ||B||_F).
+    """
+    n = b.shape[0]
+    order = np.argsort(b.diagonal().real, kind="stable")
+    b = b[np.ix_(order, order)]
+    d = b.diagonal().real
+    mag = np.abs(b)
+    stops = _joined_stops(
+        np.triu(mag >= _GAP_TOL * np.abs(d[:, np.newaxis] - d[np.newaxis, :]), 1)
+    )
+    sizes = np.diff(stops, prepend=0)
+    if 2 * sizes.max() > n:
+        return None
+    outside = _outside_blocks(stops)
+    square = mag * mag
+    del mag
+    total = float(np.sum(square))
+    if np.sum(square[outside]) > 2.0 * n * U_ROUNDOFF * total:
+        return None
+    del square
+    lam = d.copy()
+    clusters = []
+    for stop, size in zip(stops, sizes):
+        if size > 1:
+            rows = slice(stop - size, stop)
+            res = symeig_direct(b[rows, rows])
+            lam[rows] = res.lam
+            b[rows] = res.v.conj().T @ b[rows]
+            clusters.append((rows, res.v))
+    for rows, v in clusters:
+        b[:, rows] = b[:, rows] @ v
+    # Within a cluster only the solve's roundoff is left.
+    b[~outside] = 0.0
+    gap = lam[np.newaxis, :] - lam[:, np.newaxis]
+    gap[~outside] = 1.0
+    if not np.all(np.isfinite(gap)) or np.any(gap == 0.0):
+        return None
+    e = b / gap
+    del gap
+    norm_e = norm_fro(e)
+    if (
+        norm_e > _ROTATION_MAX
+        or norm_fro(b) * norm_e > n * U_ROUNDOFF * math.sqrt(total)
+    ):
+        return None
+    del b
+    y = e @ e
+    y *= 0.5
+    y += e
+    del e
+    y[np.diag_indices(n)] += 1.0
+    for rows, v in clusters:
+        y[rows] = v @ y[rows]
+    vectors = np.empty_like(y)
+    vectors[order] = y
+    del y
+    ascending = np.argsort(lam, kind="stable")
+    return SymEigResult(vectors[:, ascending], lam[ascending], "rotated")
 
 
 def symeig_deflating(b: np.ndarray) -> SymEigResult:
@@ -106,10 +208,15 @@ def symeig_deflating(b: np.ndarray) -> SymEigResult:
     B is split where `_deflation_stops` finds it decoupled; each block
     larger than 1x1 goes to `symeig_direct`, and a 1x1 block is its own
     eigenpair.  The eigenpairs are then sorted by ascending eigenvalue.
+    Where B does not split, its couplings may still be small against the
+    gaps of its diagonal: `_rotated_clusters` then solves its clusters and
+    rotates what couples them away to first order.  Only where that fails
+    too is B eigendecomposed whole by `symeig_direct`.
     """
     stops = _deflation_stops(b)
     if stops.size == 1:
-        return symeig_direct(b)
+        res = _rotated_clusters(b)
+        return symeig_direct(b) if res is None else res
     n = b.shape[0]
     v = np.zeros((n, n), dtype=np.complex128)
     lam = np.empty(n)

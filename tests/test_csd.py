@@ -4,6 +4,7 @@ route runs."""
 
 import importlib
 import logging
+import operator
 import os
 import subprocess
 import sys
@@ -556,6 +557,16 @@ class TestCsd2x2:
         with pytest.raises(PreconditionError):
             csd_2x2(np.ones((4, 4), dtype=complex))
 
+    def test_defect_near_1e_5_rejected(self):
+        # A unitary scaled so that ||A*A - I||_F reads 1e-5, above the
+        # 1e-6 gate.
+        n = 8
+        q = gen_haar_stiefel(2 * n, 2 * n, seed=15)
+        a = np.sqrt(1.0 + 1e-5 / np.sqrt(2 * n)) * q
+        assert abs(norm_fro(a.conj().T @ a - np.eye(2 * n)) - 1e-5) <= 1e-9
+        with pytest.raises(PreconditionError, match="not numerically unitary"):
+            csd_2x2(a)
+
     def test_odd_size_rejected(self):
         with pytest.raises(DimensionError):
             csd_2x2(np.eye(5, dtype=complex))
@@ -770,6 +781,19 @@ def _count_calls(monkeypatch, modules, attrs) -> dict:
             if hasattr(module, attr):
                 monkeypatch.setattr(module, attr, counted(getattr(module, attr), attr))
     return counts
+
+
+def _eigh_sizes(monkeypatch) -> list[int]:
+    """The order of each matrix that numpy's eigh is called on."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(b):
+        sizes.append(b.shape[0])
+        return eigh(b)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
 
 
 def _count_factorizations(monkeypatch) -> dict:
@@ -1006,8 +1030,9 @@ class TestSvdRoute:
     @pytest.mark.parametrize("level, split", [(5.0, False), (0.5, True)])
     def test_dropped_mass_above_n_u_keeps_one_block(self, monkeypatch, level, split):
         # Every off-diagonal entry is below 10 u ||B||_F, but together they
-        # drop about level * n u ||B||_F: above n u ||B||_F, B goes to one
-        # eigh whole.
+        # drop about level * n u ||B||_F: above n u ||B||_F, B does not
+        # split.  Each coupling is tiny against its gap, though, so the
+        # rotation tier takes B instead of one eigh.
         n = 50
         b = _ascending_with_couplings(
             n, ((i, j, level) for i in range(n) for j in range(i + 1, n))
@@ -1016,8 +1041,75 @@ class TestSvdRoute:
         assert stops == (list(range(1, n + 1)) if split else [n])
         eighs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigh",))
         res = symeig_deflating(b)
-        assert eighs == {"eigh": 0 if split else 1}
+        assert eighs == {"eigh": 0}
         np.testing.assert_allclose(res.lam, np.linalg.eigvalsh(b), atol=n * U)
+        if not split:
+            assert res.method == "rotated"
+            assert norm_2(b @ res.v - res.v * res.lam) <= n * U * norm_fro(b)
+            assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= n * U
+
+    @pytest.mark.parametrize("class_id", [1, 2, 3, 4])
+    def test_noisy_input_takes_no_full_size_eigh(self, monkeypatch, class_id):
+        # Noise leaves B' one block, but its couplings are small against
+        # the gaps of its diagonal: only clusters of close diagonal entries
+        # go to eigh, and the result meets the bounds that a full eigh does.
+        n = 40
+        a = generate(TestCase(class_id, True, n, 1))
+        methods, sizes = [], _eigh_sizes(monkeypatch)
+        solver = csdk_csd.symeig_deflating
+
+        def recording(b):
+            res = solver(b)
+            methods.append(res.method)
+            return res
+
+        monkeypatch.setattr(csdk_csd, "symeig_deflating", recording)
+        res = csd(a, n)
+        assert methods == ["rotated"]
+        assert n not in sizes
+        rep = stability_report(a, res)
+        assert rep.residual_2norm <= max(50 * n * U, 10 * rep.d_of_a)
+        assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 50 * n
+
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_clean_haar_below_n_60_takes_no_eigh(self, monkeypatch, n):
+        # On this input B' keeps one block at n = 16 and 40, since the mass
+        # that a split drops reads just above n u ||B'||_F; the rotation
+        # tier then diagonalizes it with no eigh.
+        a = generate(TestCase(1, False, n, 1))
+        eighs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigh",))
+        b, res = _eigensolved_b(monkeypatch, a, n)
+        assert _deflation_stops(b).tolist() == [n]
+        assert eighs == {"eigh": 0}
+        assert stability_report(a, res).residual_2norm <= 50 * n * U
+
+    def test_rank_deficient_rotation_raises_no_floating_point_error(self, monkeypatch):
+        # mu = 2 puts the null space's eigenvalues of B' in one cluster
+        # near 2, which the rotation tier solves as one block.
+        n = 40
+        a = generate(TestCase(3, True, n, 1))
+        sizes = _eigh_sizes(monkeypatch)
+        with np.errstate(all="raise"):
+            res = csd(a, n)
+        assert res.mu == 2.0 and res.rank == nint(3 * n / 4)
+        assert n not in sizes
+        rep = stability_report(a, res)
+        assert rep.residual_2norm <= max(50 * n * U, 10 * rep.d_of_a)
+
+    @pytest.mark.parametrize("n, seed", [(60, 5), (240, 6)])
+    def test_permutation_finish_equals_the_products(self, monkeypatch, n, seed):
+        # Where B' splits into 1x1 blocks, Y is a permutation, and the
+        # finish gathers columns of Q1, P1 and M* instead of multiplying
+        # by Y; a product with an exact 0/1 matrix gives the same entries.
+        a = generate(TestCase(1, False, n, seed))
+        b, gathered = _eigensolved_b(monkeypatch, a, n)
+        np.testing.assert_array_equal(_deflation_stops(b), np.arange(1, n + 1))
+        monkeypatch.setattr(csdk_csd, "_times", operator.matmul)
+        multiplied = csd(a, n)
+        for field in ("u1", "u2", "c", "s", "v1", "theta"):
+            np.testing.assert_array_equal(
+                getattr(gathered, field), getattr(multiplied, field)
+            )
 
     @pytest.mark.parametrize(
         "a",

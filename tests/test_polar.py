@@ -165,6 +165,27 @@ class TestPolarIterative:
             p = max(orders)
             assert orders == [q for q in range(1, p + 1) for _ in range(2)]
 
+    def test_round_below_the_switch_runs_stacked_qr(self, monkeypatch):
+        # The first round from interval edge 0.05 lies below the 0.1
+        # switch, so it takes the stacked-QR form; the later rounds, from
+        # edges above it, solve their shifted Gram matrices.
+        schedule = qdwh_schedule(0.05)
+        assert schedule[0].ell == 0.05
+        assert all(fac.ell > 0.1 for fac in schedule[1:])
+        a = conditioned(25, 20, 20.0, seed=3)  # singular values in [0.05, 1]
+        counts = {"qr": 0, "solve": 0}
+        for name in counts:
+            fn = getattr(np.linalg, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        pf = polar_iterative(a, 1.0, 0.05 / 0.9)
+        assert pf.iterations == len(schedule)
+        assert counts == {"qr": 1, "solve": len(schedule) - 1}
+
     def test_unflattened_schedule_signals_before_any_round(self, monkeypatch):
         # An interval edge that six Halley rounds cannot flatten is refused
         # while the schedule is built, before any matrix work.

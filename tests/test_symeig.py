@@ -6,7 +6,7 @@ import pytest
 from csdk.errors import ConvergenceError
 from csdk.kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro
 import csdk.symeig as symeig_module
-from csdk.symeig import spectral_split, symeig_direct, symeig_sdc
+from csdk.symeig import spectral_split, symeig_deflating, symeig_direct, symeig_sdc
 
 
 def rand_herm(n, seed):
@@ -126,3 +126,91 @@ class TestSymeigDirect:
         b = rand_herm(15, seed=23)
         res = symeig_direct(b)
         assert abs(np.trace(b).real - np.sum(res.lam)) <= 1e2 * 15 * U_ROUNDOFF * norm_fro(b)
+
+
+def ascending_with_noise(n, level, seed, equal=()):
+    """diag(linspace(-1, 1, n)) plus Hermitian couplings of size `level`
+    off the diagonal; each (i, j) in `equal` gives b_jj = b_ii, and no
+    coupling, or else a coupling of 1e-3, between them."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    b = level * hermitian_part(g)
+    np.fill_diagonal(b, np.linspace(-1.0, 1.0, n))
+    for i, j, coupling in equal:
+        b[j, j] = b[i, i]
+        b[i, j] = b[j, i] = coupling
+    return b
+
+
+def eigh_sizes(monkeypatch):
+    """The order of each matrix that numpy's eigh is called on."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording(b):
+        sizes.append(b.shape[0])
+        return eigh(b)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
+
+
+class TestSymeigRotated:
+    """B that does not split exactly, whose couplings are small against
+    the gaps of its diagonal: clusters are solved, and the couplings
+    between them rotated away to first order."""
+
+    @pytest.mark.parametrize(
+        "equal, solved",
+        [
+            ((), []),
+            (((10, 11, 1e-3), (10, 12, 1e-3), (30, 31, 0.0)), [3, 2]),
+        ],
+        ids=["all-1x1", "clusters"],
+    )
+    def test_bounds(self, monkeypatch, equal, solved):
+        n = 60
+        b = ascending_with_noise(n, 1e-10, seed=1, equal=equal)
+        assert symeig_module._deflation_stops(b).tolist() == [n]
+        sizes = eigh_sizes(monkeypatch)
+        with np.errstate(all="raise"):
+            res = symeig_deflating(b)
+        assert res.method == "rotated"
+        assert sizes == solved
+        bound = n * U_ROUNDOFF
+        assert norm_2(b @ res.v - res.v * res.lam) <= bound * norm_fro(b)
+        assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= bound
+        assert np.max(np.abs(res.lam - np.linalg.eigvalsh(b))) <= bound
+
+    @pytest.mark.parametrize(
+        "level, equal",
+        [
+            # Each coupling lies below 1e-6 of its gap, and the mass clears
+            # the pre-check, but ||F|| ||E|| exceeds n u ||B||_F.
+            (4e-9, ()),
+            # Couplings above 1e-6 of their gaps join one cluster of all n.
+            (1e-3, ()),
+        ],
+        ids=["rotation-too-large", "one-cluster"],
+    )
+    def test_refused_b_takes_one_eigh(self, monkeypatch, level, equal):
+        n = 50
+        b = ascending_with_noise(n, level, seed=2, equal=equal)
+        sizes = eigh_sizes(monkeypatch)
+        res = symeig_deflating(b)
+        assert res.method == "direct"
+        assert sizes == [n]
+
+    def test_equal_diagonal_without_coupling_is_one_cluster(self, monkeypatch):
+        # Equal diagonal entries join a cluster even with no coupling, so
+        # no gap of zero is divided by.
+        n = 40
+        equal = [(i, i + 1, 0.0) for i in range(0, n, 2)]
+        b = ascending_with_noise(n, 1e-12, seed=3, equal=equal)
+        sizes = eigh_sizes(monkeypatch)
+        with np.errstate(all="raise"):
+            res = symeig_deflating(b)
+        assert res.method == "rotated"
+        assert sizes == [2] * (n // 2)
+        assert norm_2(b @ res.v - res.v * res.lam) <= n * U_ROUNDOFF * norm_fro(b)
+        assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= n * U_ROUNDOFF
