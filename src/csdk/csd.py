@@ -22,15 +22,15 @@ it works in Q1's basis, where H1 is diagonal.  With M = Q1* Q2, the gate
 and the rank come from G = Q1* A*A Q1 = M Sigma2^2 M* + Sigma1^2 (its
 Gershgorin discs, or `eigvalsh(G)` where they do not settle it), and
 B' = Q1* B Q1 = M Sigma2 M* - Sigma1 + mu (I - G) is eigendecomposed by
-`symeig_deflating`, one LAPACK solve per diagonal block that B' splits
-into.  On clean input Q1 nearly diagonalizes B, so most blocks are 1x1.
-Noisy input does not split, but its couplings are tiny against the gaps
-of B's diagonal, so it takes one LAPACK solve per cluster of close
-diagonal entries and a first-order rotation for the rest, and one full
-solve only where that rotation would leave more than roundoff.  The
-finish reads U_i = P_i Z_i and the diagonals colsum(sigma_i |Z_i|^2) from
-the eigenvectors Y of B', with Z1 = Y and Z2 = M* Y, gathering columns
-where Y is a permutation.  The route is
+`symeig_deflating`.  Q1 nearly diagonalizes B, and the couplings of B',
+clean or noisy, are tiny against the gaps of its diagonal, so it takes
+one LAPACK solve per cluster of close diagonal entries.  The couplings
+between clusters are dropped where they weigh no more than roundoff, as
+on most clean input, and rotated away to first order otherwise; B' is
+solved whole only where that rotation would leave more than roundoff.
+The finish reads U_i = P_i Z_i and the diagonals colsum(sigma_i |Z_i|^2)
+from the eigenvectors Y of B', with Z1 = Y and Z2 = M* Y, gathering
+columns where Y is a permutation.  The route is
 unconditionally stable, so it needs no thresholds, no fixed-interval
 variant and no QR fix, and on a few cores it is faster than either sign
 iteration.  The whole path runs on numpy's LAPACK.
@@ -180,13 +180,13 @@ class CsdOptions:
 
     polar_method picks the route for the two blocks.  The default "svd"
     works from each block's SVD, the fastest route on a few cores, and
-    eigendecomposes B in the top block's singular basis, block by block
-    where it deflates.  The paper's routes "qdwh" and "zolo" run that sign
-    iteration on every block, the fixed-interval variant included, and
-    eigendecompose B whole with LAPACK's Hermitian solver.  The route also
-    sets the smallest n from which a worker thread may take half of the
-    work, and where the distance gate runs (see `csd`).  The rank, and
-    with it the branch, is read off A itself.
+    eigendecomposes B in the top block's singular basis, cluster by
+    cluster where it deflates.  The paper's routes "qdwh" and "zolo" run
+    that sign iteration on every block, the fixed-interval variant
+    included, and eigendecompose B whole with LAPACK's Hermitian solver.
+    The route also sets the smallest n from which a worker thread may
+    take half of the work, and where the distance gate runs (see `csd`).
+    The rank, and with it the branch, is read off A itself.
     """
 
     polar_method: str = POLAR_METHODS[0]
@@ -423,31 +423,38 @@ def _finish_half(pf: PolarFactors, v1: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pf.w @ v1, _projected_diagonal(v1, pf.h)
 
 
-def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """X Y; a column gather of X, with the same entries, where Y's columns
-    are columns of the identity, as where B' splits into 1x1 blocks."""
+def _identity_rows(y: np.ndarray) -> np.ndarray | None:
+    """Where Y's columns are columns of the identity, as where every
+    cluster of B' is 1x1, the row of each column's 1; else None."""
     if np.count_nonzero(y) == y.shape[1]:
         rows = np.argmax(y != 0, axis=0)
         if np.all(y[rows, np.arange(y.shape[1])] == 1.0):
-            return np.ascontiguousarray(x[:, rows])
-    return x @ y
+            return rows
+    return None
 
 
-def _svd_half(f: SvdFactors, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One block's half of the finish on the svd route, from its SVD
-    A_i = P_i Sigma_i Q_i* and Z_i = Q_i* V1: U_i = W_i V1 = P_i Z_i, and
-    diag(V1* H_i V1) = colsum(sigma_i |Z_i|^2), clamped into [0, 1] as in
+def _times(x: np.ndarray, y: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """X Y; with Y's `_identity_rows`, a column gather of X with the same
+    entries."""
+    if rows is None:
+        return x @ y
+    return np.ascontiguousarray(x[:, rows])
+
+
+def _svd_weights(f: SvdFactors, z: np.ndarray) -> np.ndarray:
+    """diag(V1* H_i V1) = colsum(sigma_i |Z_i|^2) on the svd route, from
+    A_i = P_i Sigma_i Q_i* and Z_i = Q_i* V1, clamped into [0, 1] as in
     `_projected_diagonal`."""
     weights = np.sum(f.sigma[:, np.newaxis] * (z.real**2 + z.imag**2), axis=0)
-    return _times(f.p, z), np.clip(weights, 0.0, 1.0)
+    return np.clip(weights, 0.0, 1.0)
 
 
 def _top_svd_half(
-    f1: SvdFactors, y: np.ndarray
+    f1: SvdFactors, y: np.ndarray, rows: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The top block's half of the svd route's finish, where Z1 = Y:
-    V1 = Q1 Y, then U1 and c."""
-    return (_times(f1.q, y), *_svd_half(f1, y))
+    V1 = Q1 Y, U1 = P1 Y and c."""
+    return _times(f1.q, y, rows), _times(f1.p, y, rows), _svd_weights(f1, y)
 
 
 def _finish(u1, u2, v1, c, s, rank: int, mu: float, branch: str) -> CsdResult:
@@ -533,11 +540,12 @@ def _csd_svd(a: np.ndarray, m1: int, handoff) -> CsdResult:
     del g
     y = symeig_deflating(b).v[:, :rank]
     del b
-    top_half = handoff(_top_svd_half, f1, y)
+    rows = _identity_rows(y)
+    top_half = handoff(_top_svd_half, f1, y, rows)
     try:
-        z2 = _times(m.conj().T, y)
+        z2 = _times(m.conj().T, y, rows)
         del m
-        u2, s = _svd_half(f2, z2)
+        u2, s = f2.p @ z2, _svd_weights(f2, z2)
     finally:
         v1, u1, c = top_half.result()
     return _finish(u1, u2, v1, c, s, rank, mu, _branch(mu, False))
@@ -559,10 +567,10 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     Q_i*, on both branches, in Q1's basis: with M = Q1* Q2, it reads the
     gate and the rank off G = Q1* A*A Q1 (Gershgorin discs, or
     `eigvalsh(G)` when they do not settle it), and eigendecomposes
-    B' = Q1* B Q1 = M Sigma2 M* - Sigma1 + mu (I - G) block by block
-    where B' is diagonal up to roundoff outside its blocks, and cluster by
-    cluster, with a first-order rotation between clusters, where its
-    couplings are small against its diagonal gaps.  From the
+    B' = Q1* B Q1 = M Sigma2 M* - Sigma1 + mu (I - G) cluster by cluster
+    where its couplings are small against its diagonal gaps, dropping
+    the couplings between clusters where they weigh no more than
+    roundoff and rotating them away to first order otherwise.  From the
     eigenvectors Y of B', V1 = Q1 Y and U_i = P_i Z_i with Z1 = Y and
     Z2 = M* Y, so U_i has orthonormal columns.
 

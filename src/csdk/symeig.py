@@ -7,12 +7,11 @@ QR factorization of that projector yields orthonormal bases of the
 subspace and its complement, the two compressed blocks decouple to
 working precision, and recursion finishes the job.  `symeig_direct`
 (LAPACK tridiagonal reduction) is both the small-block base case and the
-independent oracle.  `symeig_deflating` runs it only on the diagonal
-blocks that a nearly diagonal matrix splits into, and where such a matrix
-does not split, because its off-diagonal mass is above roundoff, on each
-cluster of close diagonal entries: the couplings between clusters, small
-against their gaps, are rotated away to first order.  Only a matrix that
-neither splits nor is that close to diagonal is solved whole.
+independent oracle.  `symeig_deflating` runs it only on each cluster of
+close diagonal entries of a nearly diagonal matrix: the couplings between
+clusters, small against their gaps, are dropped where they weigh no more
+than roundoff and rotated away to first order otherwise.  Only a matrix
+that is not that close to diagonal is solved whole.
 """
 
 from __future__ import annotations
@@ -37,16 +36,12 @@ _DIRECT_BLOCK = 4
 # as ConvergenceError from the final orthonormality check.
 _ELL_FLOOR = 1e-15
 
-# An off-diagonal entry of B above this times ||B||_F keeps its row and
-# column in one diagonal block of `symeig_deflating`.
-_COUPLING_TOL = 10.0 * U_ROUNDOFF
-
-# Where B does not split, indices i < j of B sorted by its diagonal d share
-# one cluster of `_rotated_clusters` when |b_ij| >= this times |d_i - d_j|;
-# a smaller coupling is rotated away to first order.
+# Indices i < j of B sorted by its diagonal d share one cluster of
+# `symeig_deflating` when |b_ij| >= this times |d_i - d_j|; a smaller
+# coupling is dropped or rotated away to first order.
 _GAP_TOL = 1e-6
 
-# The largest ||E||_F of the first-order rotation that `_rotated_clusters`
+# The largest ||E||_F of the first-order rotation that `symeig_deflating`
 # accepts.
 _ROTATION_MAX = 1e-4
 
@@ -73,13 +68,7 @@ def _phase_normalize(v: np.ndarray) -> np.ndarray:
 
 def symeig_direct(b: np.ndarray) -> SymEigResult:
     """Eigendecomposition via LAPACK's tridiagonal-reduction solver."""
-    return symeig_hermitian(hermitian_part(np.asarray(b, dtype=np.complex128)))
-
-
-def symeig_hermitian(bh: np.ndarray) -> SymEigResult:
-    """`symeig_direct` of a complex B that is already exactly Hermitian,
-    such as `hermitian_part` returns; the same bits, with no numpy call
-    before LAPACK's."""
+    bh = hermitian_part(np.asarray(b, dtype=np.complex128))
     try:
         lam, v = np.linalg.eigh(bh)
     except np.linalg.LinAlgError as exc:
@@ -99,139 +88,92 @@ def _joined_stops(coupled: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.maximum.accumulate(last) == np.arange(n)) + 1
 
 
-def _outside_blocks(stops: np.ndarray) -> np.ndarray:
-    """The entries of an n x n matrix outside its diagonal blocks that end
-    at `stops`."""
-    block = np.repeat(np.arange(stops.size), np.diff(stops, prepend=0))
-    return block[:, np.newaxis] != block[np.newaxis, :]
-
-
-def _deflation_stops(b: np.ndarray) -> np.ndarray:
-    """Ends of the contiguous diagonal blocks that Hermitian B splits into.
-
-    Indices i < j stay in one block, with every index between them, when
-    |b_ij| > 10 u ||B||_F.  The split is kept only if the entries it drops
-    have a Frobenius norm of at most n u ||B||_F, a backward error of
-    roundoff size; otherwise B is one block.  A B whose diagonal ascends
-    keeps its blocks small, since entries that couple far-apart indices are
-    then rare.
-    """
-    n = b.shape[0]
-    mag = np.abs(b)
-    norm = float(np.sqrt(np.sum(mag * mag)))
-    stops = _joined_stops(np.triu(mag > _COUPLING_TOL * norm, 1))
-    dropped = mag[_outside_blocks(stops)]
-    if np.sqrt(np.sum(dropped * dropped)) > n * U_ROUNDOFF * norm:
-        return np.array([n])
-    return stops
-
-
-def _rotated_clusters(b: np.ndarray) -> SymEigResult | None:
-    """Eigendecomposition of an exactly Hermitian B whose couplings are
-    small against the gaps of its diagonal, or None where it does not hold.
+def symeig_deflating(b: np.ndarray) -> SymEigResult:
+    """Eigendecomposition of an exactly Hermitian B, cluster by cluster
+    where its couplings are small against the gaps of its diagonal.
 
     With B sorted by its diagonal d, indices i < j share one contiguous
     cluster when |b_ij| >= _GAP_TOL |d_i - d_j|, so equal diagonals join.
-    Each cluster larger than 1x1 goes to `symeig_direct`, and its rows and
-    columns of B are rotated by its eigenvectors V_k.  What couples the
-    clusters then, F, is rotated away to first order: E_ij = F_ij /
-    (lam_j - lam_i) is skew-Hermitian, and the eigenvectors are
-    blockdiag(V_k) (I + E + E^2/2), orthonormal up to ||E||^4, with a
-    residual of (FE - EF)/2 + O(||F|| ||E||^2).  That is accepted only if
-    ||F||_F ||E||_F <= n u ||B||_F, the exact split's budget, and ||E||_F
-    <= _ROTATION_MAX.  Refused early, with no solve or product, are a
-    cluster larger than n/2 and an F with ||F||_F^2 > 2 n u ||B||_F^2,
-    which cannot meet the budget: the rotations keep ||F||_F, and no gap
-    exceeds 2 ||B||_F, so ||E||_F >= ||F||_F / (2 ||B||_F).
+    Each cluster larger than 1x1 goes to `symeig_direct`, and its
+    eigenvectors V_k rotate its rows and columns of B; F is what then
+    couples the clusters.  When ||F||_F <= n u ||B||_F, F is dropped, a
+    backward error of roundoff size, and the eigenvectors are
+    P blockdiag(V_k), P undoing the sort: a permutation where every
+    cluster is 1x1.  A heavier F is rotated away to first order:
+    E_ij = F_ij / (lam_j - lam_i) is skew-Hermitian, and the eigenvectors
+    are P blockdiag(V_k) (I + E + E^2/2), orthonormal up to ||E||^4, with
+    a residual of (FE - EF)/2 + O(||F|| ||E||^2).  That is accepted only
+    if ||F||_F ||E||_F <= n u ||B||_F, the drop's budget, and ||E||_F <=
+    _ROTATION_MAX.  Refused before any solve are a cluster larger than
+    n/2 and an F with ||F||_F^2 > 2 n u ||B||_F^2, which cannot meet the
+    budget: the rotations keep ||F||_F, and no gap exceeds 2 ||B||_F, so
+    ||E||_F >= ||F||_F / (2 ||B||_F).  A B that is one cluster, and every
+    refused B, goes unsorted to one `symeig_direct`.
     """
     n = b.shape[0]
     order = np.argsort(b.diagonal().real, kind="stable")
-    b = b[np.ix_(order, order)]
-    d = b.diagonal().real
-    mag = np.abs(b)
+    sorted_b = b[np.ix_(order, order)]
+    d = sorted_b.diagonal().real
+    mag = np.abs(sorted_b)
     stops = _joined_stops(
         np.triu(mag >= _GAP_TOL * np.abs(d[:, np.newaxis] - d[np.newaxis, :]), 1)
     )
+    if stops.size == 1:
+        return symeig_direct(b)
     sizes = np.diff(stops, prepend=0)
-    if 2 * sizes.max() > n:
-        return None
-    outside = _outside_blocks(stops)
+    cluster = np.repeat(np.arange(stops.size), sizes)
+    inside = cluster[:, np.newaxis] == cluster[np.newaxis, :]
     square = mag * mag
     del mag
     total = float(np.sum(square))
-    if np.sum(square[outside]) > 2.0 * n * U_ROUNDOFF * total:
-        return None
+    coupling = float(np.sum(square[~inside]))
     del square
+    budget = n * U_ROUNDOFF * math.sqrt(total)
+    drop = math.sqrt(coupling) <= budget
+    if not drop and (
+        2 * sizes.max() > n or coupling > 2.0 * n * U_ROUNDOFF * total
+    ):
+        return symeig_direct(b)
     lam = d.copy()
     clusters = []
     for stop, size in zip(stops, sizes):
         if size > 1:
             rows = slice(stop - size, stop)
-            res = symeig_direct(b[rows, rows])
+            res = symeig_direct(sorted_b[rows, rows])
             lam[rows] = res.lam
-            b[rows] = res.v.conj().T @ b[rows]
             clusters.append((rows, res.v))
-    for rows, v in clusters:
-        b[:, rows] = b[:, rows] @ v
-    # Within a cluster only the solve's roundoff is left.
-    b[~outside] = 0.0
-    gap = lam[np.newaxis, :] - lam[:, np.newaxis]
-    gap[~outside] = 1.0
-    if not np.all(np.isfinite(gap)) or np.any(gap == 0.0):
-        return None
-    e = b / gap
-    del gap
-    norm_e = norm_fro(e)
-    if (
-        norm_e > _ROTATION_MAX
-        or norm_fro(b) * norm_e > n * U_ROUNDOFF * math.sqrt(total)
-    ):
-        return None
-    del b
-    y = e @ e
-    y *= 0.5
-    y += e
-    del e
-    y[np.diag_indices(n)] += 1.0
-    for rows, v in clusters:
-        y[rows] = v @ y[rows]
-    vectors = np.empty_like(y)
-    vectors[order] = y
-    del y
+    if drop:
+        y = np.eye(n, dtype=np.complex128)
+        for rows, v in clusters:
+            y[rows, rows] = v
+        method = "deflating"
+    else:
+        for rows, v in clusters:
+            sorted_b[rows] = v.conj().T @ sorted_b[rows]
+        for rows, v in clusters:
+            sorted_b[:, rows] = sorted_b[:, rows] @ v
+        # Within a cluster only the solve's roundoff is left.
+        sorted_b[inside] = 0.0
+        gap = lam[np.newaxis, :] - lam[:, np.newaxis]
+        gap[inside] = 1.0
+        if not np.all(np.isfinite(gap)) or np.any(gap == 0.0):
+            return symeig_direct(b)
+        e = sorted_b / gap
+        del gap
+        norm_e = norm_fro(e)
+        if norm_e > _ROTATION_MAX or norm_fro(sorted_b) * norm_e > budget:
+            return symeig_direct(b)
+        del sorted_b
+        y = e @ e
+        y *= 0.5
+        y += e
+        del e
+        y[np.diag_indices(n)] += 1.0
+        for rows, v in clusters:
+            y[rows] = v @ y[rows]
+        method = "rotated"
     ascending = np.argsort(lam, kind="stable")
-    return SymEigResult(vectors[:, ascending], lam[ascending], "rotated")
-
-
-def symeig_deflating(b: np.ndarray) -> SymEigResult:
-    """Eigendecomposition of an exactly Hermitian B, block by block.
-
-    B is split where `_deflation_stops` finds it decoupled; each block
-    larger than 1x1 goes to `symeig_direct`, and a 1x1 block is its own
-    eigenpair.  The eigenpairs are then sorted by ascending eigenvalue.
-    Where B does not split, its couplings may still be small against the
-    gaps of its diagonal: `_rotated_clusters` then solves its clusters and
-    rotates what couples them away to first order.  Only where that fails
-    too is B eigendecomposed whole by `symeig_direct`.
-    """
-    stops = _deflation_stops(b)
-    if stops.size == 1:
-        res = _rotated_clusters(b)
-        return symeig_direct(b) if res is None else res
-    n = b.shape[0]
-    v = np.zeros((n, n), dtype=np.complex128)
-    lam = np.empty(n)
-    start = 0
-    for stop in stops:
-        if stop - start == 1:
-            v[start, start] = 1.0
-            lam[start] = b[start, start].real
-        else:
-            res = symeig_direct(b[start:stop, start:stop])
-            v[start:stop, start:stop] = res.v
-            lam[start:stop] = res.lam
-        start = stop
-    order = np.argsort(lam, kind="stable")
-    return SymEigResult(v[:, order], lam[order], "deflating")
+    return SymEigResult(y[np.ix_(np.argsort(order), ascending)], lam[ascending], method)
 
 
 def spectral_split(

@@ -45,7 +45,7 @@ from csdk.isometry import (
 )
 from csdk.kernel import U_ROUNDOFF, norm_2, norm_fro, singular_values
 from csdk.polar import polar_modified, polar_svd
-from csdk.symeig import _deflation_stops, symeig_deflating, symeig_direct
+from csdk.symeig import symeig_deflating, symeig_direct
 from csdk.testgen import (
     TestCase,
     add_noise,
@@ -437,6 +437,24 @@ class TestQrFixChosenByCaller:
         res = csd(a, n, CsdOptions(polar_method=method))
         rep = stability_report(a, res)
         assert rep.residual_2norm <= max(50 * n * U, 10 * rep.d_of_a)
+        assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 50 * n
+
+    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
+    def test_full_rank_ratio_just_above_epsilon_takes_the_plain_polar(self, method):
+        # The top block's sigma_n / sigma_1 reads 1.04e-14, above
+        # EPSILON = 1e-15: the block runs the plain iterative polar, and
+        # the decomposition meets its bounds without the QR fix.
+        n = 8
+        theta = np.linspace(0.25, 1.2, n)
+        c, s = np.cos(theta), np.sin(theta)
+        c[-1], s[-1] = 1e-14, 1.0
+        a = stack_cs(*(gen_haar_stiefel(n, n, seed=k) for k in (71, 72, 73)), c, s)
+        sigma = singular_values(a[:n])
+        assert 1e-14 < sigma[-1] / sigma[0] < 1.1e-14
+        res = csd(a, n, CsdOptions(polar_method=method))
+        assert res.branch == "full_rank"
+        rep = stability_report(a, res)
+        assert rep.residual_2norm <= 50 * n * U
         assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 50 * n
 
 
@@ -877,7 +895,7 @@ class TestFactorizations:
         # B is eigendecomposed once, at its final mu, by LAPACK's
         # eigensolver, and no spectral split runs.  On qdwh and zolo that is
         # one symeig_direct of B; on svd, one symeig_deflating of B', which
-        # runs symeig_direct on each of its blocks larger than 1x1.
+        # runs symeig_direct on each of its clusters larger than 1x1.
         n = 12
         if deficient:
             a = gen_rank_deficient_haar(n, seed=2)
@@ -937,19 +955,24 @@ class TestFactorizations:
         assert proc.returncode == 0, proc.stderr
 
 
-def _eigensolved_b(monkeypatch, a: np.ndarray, m1: int):
-    """B' as the svd route hands it to its eigensolver, and the result."""
+def _eigensolved(monkeypatch, a: np.ndarray, m1: int):
+    """B' as the svd route hands it to its eigensolver, that eigensolver's
+    result, and the decomposition's."""
     seen = []
     solver = csdk_csd.symeig_deflating
 
     def recording(b):
-        seen.append(b.copy())
-        return solver(b)
+        seen.append((b.copy(), solver(b)))
+        return seen[-1][1]
 
     monkeypatch.setattr(csdk_csd, "symeig_deflating", recording)
     res = csd(a, m1)
-    (b,) = seen
-    return b, res
+    ((b, eig),) = seen
+    return b, eig, res
+
+
+def _is_permutation(v: np.ndarray) -> bool:
+    return np.count_nonzero(v) == v.shape[1] and bool(np.all(v[v != 0] == 1.0))
 
 
 def _ascending_with_couplings(n: int, couplings) -> np.ndarray:
@@ -974,98 +997,91 @@ def _with_small_columns(n: int, k: int, scale: float) -> np.ndarray:
 
 class TestSvdRoute:
     """The svd route works in the top block's right singular basis Q1: B'
-    = Q1* B Q1 is eigendecomposed in the diagonal blocks it splits into,
-    and the gate and rank come from G = Q1* A*A Q1."""
+    = Q1* B Q1 is eigendecomposed cluster by cluster, its couplings
+    between clusters dropped or rotated away, and the gate and rank come
+    from G = Q1* A*A Q1."""
 
     def test_clean_haar_deflates_fully_with_no_eigh(self, monkeypatch):
-        # Q1 diagonalizes B to roundoff, so every block of B' is 1x1.  The
-        # outcome is read at rounding level: on this input the largest
-        # off-diagonal entry and the dropped mass both sit near 0.6 of
-        # their bounds.
+        # Q1 diagonalizes B to roundoff, so every cluster of B' is 1x1 and
+        # its off-diagonal mass is dropped: the eigenvectors are a
+        # permutation.  The outcome is read at rounding level: on this
+        # input that mass sits near 0.6 of its bound.
         n = 60
         a = generate(TestCase(1, False, n, 5))
         eighs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigh",))
-        b, res = _eigensolved_b(monkeypatch, a, n)
-        np.testing.assert_array_equal(_deflation_stops(b), np.arange(1, n + 1))
+        _, eig, res = _eigensolved(monkeypatch, a, n)
+        assert eig.method == "deflating"
+        assert _is_permutation(eig.v)
         assert eighs == {"eigh": 0}
         assert stability_report(a, res).residual_2norm <= 50 * n * U
 
     def test_clean_clustered_deflates_into_smaller_blocks(self, monkeypatch):
-        # Clustered angles leave B' coupled within each cluster only.
+        # Clustered angles leave B' coupled within each cluster only, so
+        # eigh runs on several clusters and never on B' whole.
         n = 120
-        b, res = _eigensolved_b(monkeypatch, generate(TestCase(4, False, n, 1)), n)
-        sizes = np.diff(_deflation_stops(b), prepend=0)
-        assert sizes.size > 2 and 1 < sizes.max() < n
+        sizes = _eigh_sizes(monkeypatch)
+        _, eig, res = _eigensolved(monkeypatch, generate(TestCase(4, False, n, 1)), n)
+        assert eig.method in ("deflating", "rotated")
+        assert len(sizes) > 2 and 1 < max(sizes) < n
         assert res.rank == nint(3 * n / 4)
 
-    @pytest.mark.parametrize("class_id", [1, 2, 3, 4])
-    def test_noisy_input_is_one_block(self, monkeypatch, class_id):
-        n = 40
-        b, _ = _eigensolved_b(monkeypatch, generate(TestCase(class_id, True, n, 1)), n)
-        assert _deflation_stops(b).tolist() == [n]
-
     def test_zero_b_needs_no_division(self, monkeypatch):
-        # The balanced stack's two blocks are equal, so B' is exactly 0.
+        # The balanced stack's two blocks are equal, so B' is exactly 0:
+        # its equal diagonal entries make it one cluster, which goes to one
+        # eigh with no gap divided by.
         n = 6
         a = np.vstack([np.eye(n), np.eye(n)]).astype(complex) / np.sqrt(2)
+        sizes = _eigh_sizes(monkeypatch)
         with np.errstate(divide="raise", invalid="raise"):
-            b, res = _eigensolved_b(monkeypatch, a, n)
-            stops = _deflation_stops(b)
+            b, eig, res = _eigensolved(monkeypatch, a, n)
         assert not np.any(b)
-        np.testing.assert_array_equal(stops, np.arange(1, n + 1))
+        assert eig.method == "direct" and sizes == [n]
         np.testing.assert_allclose(res.theta, np.full(n, np.pi / 4), atol=1e-14)
 
-    def test_entries_above_ten_u_join_their_block(self):
-        # 20 u ||B||_F couples indices 3 and 5, and with them 4; 5 u ||B||_F
-        # between 10 and 11 is dropped.
+    def test_couplings_within_n_u_are_dropped(self, monkeypatch):
+        # 20 u ||B||_F between indices 3 and 5 and 5 u ||B||_F between 10
+        # and 11 are tiny against their gaps, so every cluster is 1x1, and
+        # together they weigh 29 u ||B||_F <= n u ||B||_F: both are dropped
+        # (E = 0), and the eigenvectors are a permutation.
         n = 50
         b = _ascending_with_couplings(n, ((3, 5, 20.0), (10, 11, 5.0)))
-        expected = [1, 2, 3, *range(6, n + 1)]
-        assert _deflation_stops(b).tolist() == expected
+        sizes = _eigh_sizes(monkeypatch)
         res = symeig_deflating(b)
+        assert res.method == "deflating" and sizes == []
+        assert _is_permutation(res.v)
         np.testing.assert_allclose(res.lam, np.linalg.eigvalsh(b), atol=n * U)
-        assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= 10 * U
-        assert norm_2(b @ res.v - res.v * res.lam) <= n * U
+        assert norm_2(b @ res.v - res.v * res.lam) <= n * U * norm_fro(b)
 
-    @pytest.mark.parametrize("level, split", [(5.0, False), (0.5, True)])
-    def test_dropped_mass_above_n_u_keeps_one_block(self, monkeypatch, level, split):
-        # Every off-diagonal entry is below 10 u ||B||_F, but together they
-        # drop about level * n u ||B||_F: above n u ||B||_F, B does not
-        # split.  Each coupling is tiny against its gap, though, so the
-        # rotation tier takes B instead of one eigh.
+    @pytest.mark.parametrize("level, dropped", [(5.0, False), (0.5, True)])
+    def test_dropped_mass_above_n_u_keeps_one_block(self, monkeypatch, level, dropped):
+        # Every off-diagonal entry is tiny against its gap, and together
+        # they weigh about level * n u ||B||_F: above n u ||B||_F they are
+        # not dropped but rotated away, and at or below it dropped.
+        # Either way no eigh runs.
         n = 50
         b = _ascending_with_couplings(
             n, ((i, j, level) for i in range(n) for j in range(i + 1, n))
         )
-        stops = _deflation_stops(b).tolist()
-        assert stops == (list(range(1, n + 1)) if split else [n])
         eighs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigh",))
         res = symeig_deflating(b)
         assert eighs == {"eigh": 0}
+        assert res.method == ("deflating" if dropped else "rotated")
+        assert _is_permutation(res.v) == dropped
         np.testing.assert_allclose(res.lam, np.linalg.eigvalsh(b), atol=n * U)
-        if not split:
-            assert res.method == "rotated"
-            assert norm_2(b @ res.v - res.v * res.lam) <= n * U * norm_fro(b)
-            assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= n * U
+        assert norm_2(b @ res.v - res.v * res.lam) <= n * U * norm_fro(b)
+        assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= n * U
 
     @pytest.mark.parametrize("class_id", [1, 2, 3, 4])
     def test_noisy_input_takes_no_full_size_eigh(self, monkeypatch, class_id):
-        # Noise leaves B' one block, but its couplings are small against
-        # the gaps of its diagonal: only clusters of close diagonal entries
-        # go to eigh, and the result meets the bounds that a full eigh does.
+        # Noise couples B' above the drop budget, but its couplings are
+        # small against the gaps of its diagonal: only clusters of close
+        # diagonal entries go to eigh, and the result meets the bounds that
+        # a full eigh does.
         n = 40
         a = generate(TestCase(class_id, True, n, 1))
-        methods, sizes = [], _eigh_sizes(monkeypatch)
-        solver = csdk_csd.symeig_deflating
-
-        def recording(b):
-            res = solver(b)
-            methods.append(res.method)
-            return res
-
-        monkeypatch.setattr(csdk_csd, "symeig_deflating", recording)
-        res = csd(a, n)
-        assert methods == ["rotated"]
+        sizes = _eigh_sizes(monkeypatch)
+        _, eig, res = _eigensolved(monkeypatch, a, n)
+        assert eig.method == "rotated"
         assert n not in sizes
         rep = stability_report(a, res)
         assert rep.residual_2norm <= max(50 * n * U, 10 * rep.d_of_a)
@@ -1073,19 +1089,19 @@ class TestSvdRoute:
 
     @pytest.mark.parametrize("n", [16, 40])
     def test_clean_haar_below_n_60_takes_no_eigh(self, monkeypatch, n):
-        # On this input B' keeps one block at n = 16 and 40, since the mass
-        # that a split drops reads just above n u ||B'||_F; the rotation
-        # tier then diagonalizes it with no eigh.
+        # On this input the off-diagonal mass of B' reads just above
+        # n u ||B'||_F at n = 16 and 40, so it is not dropped; every
+        # cluster is 1x1, and the rotation diagonalizes B' with no eigh.
         a = generate(TestCase(1, False, n, 1))
         eighs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigh",))
-        b, res = _eigensolved_b(monkeypatch, a, n)
-        assert _deflation_stops(b).tolist() == [n]
+        _, eig, res = _eigensolved(monkeypatch, a, n)
+        assert eig.method == "rotated"
         assert eighs == {"eigh": 0}
         assert stability_report(a, res).residual_2norm <= 50 * n * U
 
     def test_rank_deficient_rotation_raises_no_floating_point_error(self, monkeypatch):
         # mu = 2 puts the null space's eigenvalues of B' in one cluster
-        # near 2, which the rotation tier solves as one block.
+        # near 2, which is solved as one block.
         n = 40
         a = generate(TestCase(3, True, n, 1))
         sizes = _eigh_sizes(monkeypatch)
@@ -1098,13 +1114,14 @@ class TestSvdRoute:
 
     @pytest.mark.parametrize("n, seed", [(60, 5), (240, 6)])
     def test_permutation_finish_equals_the_products(self, monkeypatch, n, seed):
-        # Where B' splits into 1x1 blocks, Y is a permutation, and the
-        # finish gathers columns of Q1, P1 and M* instead of multiplying
-        # by Y; a product with an exact 0/1 matrix gives the same entries.
+        # Where every cluster of B' is 1x1 and its couplings are dropped,
+        # Y is a permutation, and the finish gathers columns of Q1, P1 and
+        # M* instead of multiplying by Y; a product with an exact 0/1
+        # matrix gives the same entries.
         a = generate(TestCase(1, False, n, seed))
-        b, gathered = _eigensolved_b(monkeypatch, a, n)
-        np.testing.assert_array_equal(_deflation_stops(b), np.arange(1, n + 1))
-        monkeypatch.setattr(csdk_csd, "_times", operator.matmul)
+        _, eig, gathered = _eigensolved(monkeypatch, a, n)
+        assert _is_permutation(eig.v)
+        monkeypatch.setattr(csdk_csd, "_identity_rows", lambda y: None)
         multiplied = csd(a, n)
         for field in ("u1", "u2", "c", "s", "v1", "theta"):
             np.testing.assert_array_equal(
@@ -1535,7 +1552,7 @@ class TestConcurrentBlockPolars:
     @pytest.mark.parametrize("method", ROUTES)
     def test_worker_finish_half_error_propagates(self, overlapping, monkeypatch, method):
         # The svd route finishes each half from the block's SVD factors.
-        name = "_svd_half" if method == "svd" else "_finish_half"
+        name = "_svd_weights" if method == "svd" else "_finish_half"
         finish_half = getattr(csdk_csd, name)
 
         def failing_on_worker(factors, v1):

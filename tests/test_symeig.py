@@ -156,9 +156,9 @@ def eigh_sizes(monkeypatch):
 
 
 class TestSymeigRotated:
-    """B that does not split exactly, whose couplings are small against
-    the gaps of its diagonal: clusters are solved, and the couplings
-    between them rotated away to first order."""
+    """symeig_deflating on B whose couplings are small against the gaps of
+    its diagonal: clusters are solved, and the couplings between them
+    dropped, or rotated away to first order, or else B is solved whole."""
 
     @pytest.mark.parametrize(
         "equal, solved",
@@ -171,7 +171,6 @@ class TestSymeigRotated:
     def test_bounds(self, monkeypatch, equal, solved):
         n = 60
         b = ascending_with_noise(n, 1e-10, seed=1, equal=equal)
-        assert symeig_module._deflation_stops(b).tolist() == [n]
         sizes = eigh_sizes(monkeypatch)
         with np.errstate(all="raise"):
             res = symeig_deflating(b)
@@ -190,16 +189,25 @@ class TestSymeigRotated:
             (4e-9, ()),
             # Couplings above 1e-6 of their gaps join one cluster of all n.
             (1e-3, ()),
+            # ||F||_F^2 exceeds 2 n u ||B||_F^2.
+            (1.5e-8, ()),
+            # 26 equal diagonal entries make a cluster larger than n/2.
+            (1e-10, tuple((0, j, 0.0) for j in range(1, 26))),
         ],
-        ids=["rotation-too-large", "one-cluster"],
+        ids=["rotation-too-large", "one-cluster", "mass", "half"],
     )
     def test_refused_b_takes_one_eigh(self, monkeypatch, level, equal):
+        # Whatever refuses B, before any cluster solve, it goes unsorted to
+        # one symeig_direct, with the same bits.
         n = 50
         b = ascending_with_noise(n, level, seed=2, equal=equal)
+        direct = symeig_direct(b)
         sizes = eigh_sizes(monkeypatch)
         res = symeig_deflating(b)
         assert res.method == "direct"
         assert sizes == [n]
+        np.testing.assert_array_equal(res.v, direct.v)
+        np.testing.assert_array_equal(res.lam, direct.lam)
 
     def test_equal_diagonal_without_coupling_is_one_cluster(self, monkeypatch):
         # Equal diagonal entries join a cluster even with no coupling, so
@@ -213,4 +221,52 @@ class TestSymeigRotated:
         assert res.method == "rotated"
         assert sizes == [2] * (n // 2)
         assert norm_2(b @ res.v - res.v * res.lam) <= n * U_ROUNDOFF * norm_fro(b)
+        assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= n * U_ROUNDOFF
+
+    def test_couplings_within_the_budget_are_dropped(self, monkeypatch):
+        # 1e-18 couplings weigh far below n u ||B||_F, so they are dropped
+        # (E = 0): the eigenvectors are blockdiag(V_k) up to the sort, and
+        # only the cluster of the two equal diagonal entries goes to eigh.
+        n = 40
+        b = ascending_with_noise(n, 1e-18, seed=4, equal=((10, 11, 1e-3),))
+        sizes = eigh_sizes(monkeypatch)
+        res = symeig_deflating(b)
+        assert res.method == "deflating"
+        assert sizes == [2]
+        assert np.count_nonzero(res.v) == (n - 2) + 4
+        bound = n * U_ROUNDOFF
+        assert norm_2(b @ res.v - res.v * res.lam) <= bound * norm_fro(b)
+        assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= bound
+
+    def test_coupling_above_gap_tol_joins_its_cluster(self, monkeypatch):
+        # A coupling of 1e-4 of its diagonal gap joins its two indices in
+        # one cluster, which eigh solves; rotated away instead, it would
+        # leave an E of 1e-4 and more.
+        n = 60
+        b = ascending_with_noise(n, 1e-12, seed=5)
+        b[20, 21] = 1e-4 * (b[21, 21] - b[20, 20]).real
+        b[21, 20] = b[20, 21]
+        sizes = eigh_sizes(monkeypatch)
+        res = symeig_deflating(b)
+        assert res.method == "rotated"
+        assert sizes == [2]
+        bound = n * U_ROUNDOFF
+        assert norm_2(b @ res.v - res.v * res.lam) <= bound * norm_fro(b)
+        assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= bound
+
+    def test_rotation_above_rotation_max_is_refused(self, monkeypatch):
+        # Index 2 couples by 1e-12 to the cluster {0, 1}, whose eigenvalue
+        # 0.01 lies 1e-9 below its diagonal entry: E reads about 1e-3,
+        # within the budget ||F||_F ||E||_F <= n u ||B||_F, but the
+        # rotation would leave ||E||^4 / 4 of nonorthonormality.
+        n = 20
+        b = np.diag(np.linspace(-1.0, 1.0, n)).astype(complex)
+        b[0, 0] = b[1, 1] = 0.0
+        b[0, 1] = b[1, 0] = 0.01
+        b[2, 2] = 0.01 + 1e-9
+        b[0, 2] = b[2, 0] = 1e-12
+        sizes = eigh_sizes(monkeypatch)
+        res = symeig_deflating(b)
+        assert res.method == "direct"
+        assert sizes == [2, n]
         assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= n * U_ROUNDOFF

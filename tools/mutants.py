@@ -98,6 +98,37 @@ MUTANTS = (
         "tests/test_polar.py::TestPolarIterative::"
         "test_round_below_the_switch_runs_stacked_qr",
     ),
+    Mutant(
+        "ill-conditioned-below-1e-13",
+        "src/csdk/csd.py",
+        "ill = smin / smax < EPSILON",
+        "ill = smin / smax < 1e-13",
+        "tests/test_csd.py::TestQrFixChosenByCaller::"
+        "test_full_rank_ratio_just_above_epsilon_takes_the_plain_polar",
+    ),
+    Mutant(
+        "drop-budget-10-n-u",
+        "src/csdk/symeig.py",
+        "drop = math.sqrt(coupling) <= budget",
+        "drop = math.sqrt(coupling) <= 10.0 * budget",
+        "tests/test_csd.py::TestSvdRoute::test_dropped_mass_above_n_u_keeps_one_block",
+    ),
+    Mutant(
+        "gap-tol-1e-3",
+        "src/csdk/symeig.py",
+        "_GAP_TOL = 1e-6\n",
+        "_GAP_TOL = 1e-3\n",
+        "tests/test_symeig.py::TestSymeigRotated::"
+        "test_coupling_above_gap_tol_joins_its_cluster",
+    ),
+    Mutant(
+        "rotation-max-1e-2",
+        "src/csdk/symeig.py",
+        "_ROTATION_MAX = 1e-4\n",
+        "_ROTATION_MAX = 1e-2\n",
+        "tests/test_symeig.py::TestSymeigRotated::"
+        "test_rotation_above_rotation_max_is_refused",
+    ),
 )
 
 
