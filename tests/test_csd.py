@@ -4,7 +4,6 @@ route runs."""
 
 import importlib
 import logging
-import operator
 import os
 import subprocess
 import sys
