@@ -16,21 +16,22 @@ cleanly separated from the [-1, 1] band of the active angles.
 The decomposition is backward stable whenever the two polar
 decompositions and the eigendecomposition are, so any backward-stable
 Hermitian eigensolver serves, and the polar route can be picked on speed
-alone.  The default, "svd", takes one full SVD per block, A_i = P_i
-Sigma_i Q_i*, and never forms W_i = P_i Q_i*, H_i = Q_i Sigma_i Q_i* or B:
-it works in Q1's basis, where H1 is diagonal.  With M = Q1* Q2, the gate
-and the rank come from G = Q1* A*A Q1 = M Sigma2^2 M* + Sigma1^2 (its
-Gershgorin discs, or `eigvalsh(G)` where they do not settle it), and
-B' = Q1* B Q1 = M Sigma2 M* - Sigma1 + mu (I - G) is eigendecomposed by
-`symeig_deflating`.  Q1 nearly diagonalizes B, and the couplings of B',
-clean or noisy, are tiny against the gaps of its diagonal, so it takes
-one LAPACK solve per cluster of close diagonal entries.  The couplings
-between clusters are dropped where they weigh no more than roundoff, as
-on most clean input, and rotated away to first order otherwise; B' is
-solved whole only where that rotation would leave more than roundoff.
-The finish reads U_i = P_i Z_i and the diagonals colsum(sigma_i |Z_i|^2)
-from the eigenvectors Y of B', with Z1 = Y and Z2 = M* Y, gathering
-columns where Y is a permutation.  The route is
+alone: the routes differ only in how each block is factored.  Each forms
+G = A*A once, in its own basis; the distance gate and the rank are read
+off G's Gershgorin discs, or off `eigvalsh(G)` where they do not settle
+it, G gives B its mu shift (`build_B`), and `symeig_deflating` solves B
+by clusters where it is nearly diagonal and whole where it is not.
+
+The default, "svd", takes one full SVD per block, A_i = P_i Sigma_i Q_i*,
+and never forms W_i = P_i Q_i*, H_i = Q_i Sigma_i Q_i* or B: it works in
+Q1's basis, where H1 is diagonal.  With M = Q1* Q2, G = M Sigma2^2 M* +
+Sigma1^2 and B' = Q1* B Q1 = M Sigma2 M* - Sigma1 + mu (I - G).  Q1 nearly
+diagonalizes B, and the couplings of B', clean or noisy, are tiny against
+the gaps of its diagonal: they are dropped where they weigh no more than
+roundoff, as on most clean input, and rotated away to first order
+otherwise.  The finish reads U_i = P_i Z_i and the diagonals
+colsum(sigma_i |Z_i|^2) from the eigenvectors Y of B', with Z1 = Y and
+Z2 = M* Y, gathering columns where Y is a permutation.  The route is
 unconditionally stable, so it needs no thresholds, no fixed-interval
 variant and no QR fix, and on a few cores it is faster than either sign
 iteration.  The whole path runs on numpy's LAPACK.
@@ -47,18 +48,18 @@ route's work per block: n = 90 on zolo, 100 on qdwh and 140 on svd.
 Either way the result is bitwise the same.
 
 The paper's opt-in routes, "qdwh" and "zolo", run a sign iteration
-instead.  There each block's singular values, from one values-only SVD,
-pick its polar route and drive the iteration: the largest scales the
-block, and at full rank the smallest sets the iteration's interval edge.
-The polar routines take these values from the caller and compute none of
-their own.  Ill-conditioned and rank-deficient blocks go through the
-fixed-interval polar variant, the same sign iteration run on [EPSILON,
-1].  For ill-conditioned blocks orthonormality of the resulting W is then
-restored from the identity W = Q Q_H*, where Q and Q_H are the Q-factors
-of A_i and of its Hermitian polar factor, which share one R-factor under
-the nonnegative-diagonal QR convention.  B is then eigendecomposed whole
-by LAPACK (`symeig_direct`).  The spectral divide-and-conquer solver
-stays standalone in `csdk.symeig`.
+instead, in A's own basis, where B = H2 - H1 + mu (I - A*A) is dense and
+goes to LAPACK whole.  Each block's singular values, from one values-only
+SVD of the block, pick its polar route and drive the iteration: the
+largest scales the block, and at full rank the smallest sets the
+iteration's interval edge.  The polar routines take these values from the
+caller and compute none of their own.  Ill-conditioned and rank-deficient
+blocks go through the fixed-interval polar variant, the same sign
+iteration run on [EPSILON, 1].  For ill-conditioned blocks orthonormality
+of the resulting W is then restored from the identity W = Q Q_H*, where Q
+and Q_H are the Q-factors of A_i and of its Hermitian polar factor, which
+share one R-factor under the nonnegative-diagonal QR convention.  The
+spectral divide-and-conquer solver stays standalone in `csdk.symeig`.
 """
 
 from __future__ import annotations
@@ -92,11 +93,11 @@ from .kernel import (
 )
 from .isometry import dist_from_singular_values
 from .polar import EPSILON, PolarFactors, polar_iterative, polar_modified, polar_svd
-from .symeig import symeig_deflating, symeig_direct
+from .symeig import symeig_deflating
 
 # perfbench/layers.py wraps these names in this module, but csd calls none
 # of them; they go with ROADMAP item 1.
-dist_to_partial_isometry = symeig_interval = symeig_sdc = None
+dist_to_partial_isometry = symeig_interval = symeig_sdc = symeig_direct = None
 extract_cs = cs_from_lambda = None
 
 _log = logging.getLogger("csdk")
@@ -105,10 +106,10 @@ _log = logging.getLogger("csdk")
 # backward-error guarantees are asymptotic in that distance.
 _DISTANCE_GATE = 0.1
 
-# The svd route's gate reads the Gershgorin discs of G = Q1* A*A Q1, whose
-# eigenvalues are A's squared singular values.  When every disc ends below
-# 0.01 = 0.1^2 or lies in [0.81, 1.21], the squares of [0.9, 1.1], A is
-# inside the gate and its rank is the number of discs in that interval.
+# The gate reads the Gershgorin discs of G, A*A in the route's basis,
+# whose eigenvalues are A's squared singular values.  When every disc ends
+# below 0.01 = 0.1^2 or lies in [0.81, 1.21], the squares of [0.9, 1.1], A
+# is inside the gate and its rank is the number of discs in that interval.
 _GRAM_LOWER = 0.01
 _GRAM_UPPER = (0.81, 1.21)
 
@@ -178,15 +179,16 @@ _OVERLAP_PAYS = _overlap_pays(os.environ, _usable_cores())
 class CsdOptions:
     """Knobs for the decomposition.
 
-    polar_method picks the route for the two blocks.  The default "svd"
-    works from each block's SVD, the fastest route on a few cores, and
-    eigendecomposes B in the top block's singular basis, cluster by
-    cluster where it deflates.  The paper's routes "qdwh" and "zolo" run
-    that sign iteration on every block, the fixed-interval variant
-    included, and eigendecompose B whole with LAPACK's Hermitian solver.
-    The route also sets the smallest n from which a worker thread may
-    take half of the work, and where the distance gate runs (see `csd`).
-    The rank, and with it the branch, is read off A itself.
+    polar_method picks how the two blocks are factored.  The default
+    "svd" works from each block's SVD, the fastest route on a few cores,
+    and so in the top block's singular basis, where B is nearly diagonal
+    and its eigensolve deflates.  The paper's routes "qdwh" and "zolo"
+    run that sign iteration on every block, the fixed-interval variant
+    included, and so work in A's own basis, where B is dense and solved
+    whole.  Every route gates, shifts and eigendecomposes alike; the
+    route also sets the smallest n from which a worker thread may take
+    half of the work, and where the distance gate runs (see `csd`).  The
+    rank, and with it the branch, is read off A itself.
     """
 
     polar_method: str = POLAR_METHODS[0]
@@ -222,15 +224,17 @@ class CsdResult:
         return self.theta.shape[0]
 
 
-def build_B(h1: np.ndarray, h2: np.ndarray, a: np.ndarray, mu: float) -> np.ndarray:
-    """The Hermitian matrix H2 - H1 + mu (I - A*A) whose eigenvectors give V1."""
+def build_B(b0: np.ndarray, g: np.ndarray, mu: float) -> np.ndarray:
+    """B = B0 + mu (I - G), whose eigenvectors give V1, from B0 = H2 - H1
+    and G = A*A in one basis, both exactly Hermitian; so is B, since each
+    entry is formed as its mirror is.  At mu = 0 B is B0 itself."""
     if mu not in (0.0, 2.0):
         raise ValueError(f"mu must be 0 or 2, got {mu}")
-    b = h2 - h1
-    if mu != 0.0:
-        n = a.shape[1]
-        b = b + mu * (np.eye(n) - a.conj().T @ a)
-    return hermitian_part(b)
+    if mu == 0.0:
+        return b0
+    b = b0 - mu * g
+    b[np.diag_indices_from(b)] += mu
+    return b
 
 
 def _projected_diagonal(v1: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -367,13 +371,26 @@ def _validated(a: np.ndarray, m1: int) -> np.ndarray:
     return a
 
 
-def _rank_inside_gate(sigma: np.ndarray) -> int:
-    """The distance gate on A's singular values sigma, and A's rank.
+def _gram_gate(g: np.ndarray) -> int:
+    """The distance gate and A's rank, from G, A*A in some basis.
 
-    d(A) = max_i min(sigma_i, |1 - sigma_i|), and inside the gate every
-    sigma_i lies within 0.1 of 0 or of 1, so r = #{sigma_i > 1/2} is
-    unambiguous.
+    When all of G's Gershgorin discs end below _GRAM_LOWER or lie in
+    _GRAM_UPPER, which are disjoint, each of the two holds as many of G's
+    eigenvalues, A's squared singular values, as discs, and the gate
+    passes with no eigensolve.  Otherwise sigma comes from `eigvalsh(G)`,
+    and d(A) = max_i min(sigma_i, |1 - sigma_i|) is read against the
+    gate, inside which r = #{sigma_i > 1/2} is unambiguous.
     """
+    center = g.diagonal().real
+    radius = np.sum(np.abs(g), axis=1) - np.abs(center)
+    upper = (center - radius >= _GRAM_UPPER[0]) & (center + radius <= _GRAM_UPPER[1])
+    if np.all(upper | (center + radius <= _GRAM_LOWER)):
+        return int(np.count_nonzero(upper))
+    try:
+        squares = np.linalg.eigvalsh(g)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigvalsh did not converge: {exc}") from exc
+    sigma = np.sqrt(np.clip(squares, 0.0, None))
     d = dist_from_singular_values(sigma)
     if d > _DISTANCE_GATE:
         raise NotNearIsometryError(
@@ -383,33 +400,12 @@ def _rank_inside_gate(sigma: np.ndarray) -> int:
     return int(np.count_nonzero(sigma > 0.5))
 
 
-def _gated_rank(a: np.ndarray) -> int:
-    """The distance gate and the rank of A, from one values-only SVD."""
-    return _rank_inside_gate(singular_values(a))
-
-
-def _gram_gate(x: np.ndarray, sigma1: np.ndarray) -> tuple[int, np.ndarray]:
-    """The svd route's distance gate and rank, from the blocks' factors.
-
-    With X = M diag(sigma2), G = X X* + diag(sigma1^2) is Q1* A*A Q1 up to
-    O(u), so its eigenvalues are A's squared singular values.  When all of
-    G's Gershgorin discs end below _GRAM_LOWER or lie in _GRAM_UPPER,
-    which are disjoint, each of the two holds as many of G's eigenvalues
-    as discs, and the gate passes with no eigensolve.  Otherwise sigma^2
-    comes from `eigvalsh(G)`.  Returns the rank and G, exactly Hermitian.
-    """
+def _svd_gram(x: np.ndarray, sigma1: np.ndarray) -> tuple[int, np.ndarray]:
+    """The svd route's rank and G = X X* + diag(sigma1^2), exactly
+    Hermitian: with X = M diag(sigma2), G is Q1* A*A Q1 up to O(u)."""
     g = hermitian_part(x @ x.conj().T)
     g[np.diag_indices_from(g)] += sigma1 * sigma1
-    center = g.diagonal().real
-    radius = np.sum(np.abs(g), axis=1) - np.abs(center)
-    upper = (center - radius >= _GRAM_UPPER[0]) & (center + radius <= _GRAM_UPPER[1])
-    if np.all(upper | (center + radius <= _GRAM_LOWER)):
-        return int(np.count_nonzero(upper)), g
-    try:
-        squares = np.linalg.eigvalsh(g)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigvalsh did not converge: {exc}") from exc
-    return _rank_inside_gate(np.sqrt(np.clip(squares, 0.0, None))), g
+    return _gram_gate(g), g
 
 
 def _branch(mu: float, fixed: bool) -> str:
@@ -491,16 +487,17 @@ def _handoff(
 
 
 def _csd_polar(a: np.ndarray, m1: int, opts: CsdOptions, handoff) -> CsdResult:
-    """The qdwh and zolo routes: the gate, the two block polars, B's
-    eigendecomposition and the finish from W_i and H_i."""
-    rank = _gated_rank(a)
+    """The qdwh and zolo routes: the gate on G = A*A, the two block
+    polars, B's eigendecomposition and the finish from W_i and H_i."""
+    g = hermitian_part(a.conj().T @ a)
+    rank = _gram_gate(g)
     pending = handoff(_polar_for_block, a[:m1], opts, rank)
     try:
         pf2, fix2 = _polar_for_block(a[m1:], opts, rank)
     finally:
         pf1, fix1 = pending.result()
     mu = 0.0 if rank == a.shape[1] else 2.0
-    v1 = symeig_direct(build_B(pf1.h, pf2.h, a, mu)).v[:, :rank]
+    v1 = symeig_deflating(build_B(hermitian_part(pf2.h - pf1.h), g, mu)).v[:, :rank]
     top_half = handoff(_finish_half, pf1, v1)
     try:
         u2, s = _finish_half(pf2, v1)
@@ -521,22 +518,19 @@ def _csd_svd(a: np.ndarray, m1: int, handoff) -> CsdResult:
         finally:
             f1 = pending.result()
     except Exception:
-        _gated_rank(a)  # its error wins over a block's
+        _gram_gate(hermitian_part(a.conj().T @ a))  # its error wins over a block's
         raise
     # Q1* H1 Q1 = diag(sigma1) and, with M = Q1* Q2 and X = M diag(sigma2),
     # Q1* H2 Q1 = X M* and Q1* A*A Q1 = X X* + diag(sigma1^2) = G.
     m = f1.q.conj().T @ f2.q
     x = m * f2.sigma
-    gate = handoff(_gram_gate, x, f1.sigma)
+    gate = handoff(_svd_gram, x, f1.sigma)
     b = hermitian_part(x @ m.conj().T)
     del x
-    diagonal = np.diag_indices(n)
-    b[diagonal] -= f1.sigma
+    b[np.diag_indices(n)] -= f1.sigma
     rank, g = gate.result()
     mu = 0.0 if rank == n else 2.0
-    if mu != 0.0:
-        b -= mu * g
-        b[diagonal] += mu
+    b = build_B(b, g, mu)
     del g
     y = symeig_deflating(b).v[:, :rank]
     del b
@@ -556,7 +550,9 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     than square.
 
     Inputs farther than 0.1 from every partial isometry are refused; the
-    same singular values of A give its rank r = #{sigma_i > 1/2}.
+    same squared singular values of A, the eigenvalues of G = A*A, give
+    its rank r = #{sigma_i > 1/2}.  Every route reads both off G and
+    eigendecomposes B = H2 - H1 + mu (I - G) with `symeig_deflating`.
 
     Full rank (r = n, mu = 0): B's n eigenpairs give V1.  Rank deficient
     (r < n, mu = 2): the null space is pushed to eigenvalue mu = 2 of B,
@@ -564,18 +560,18 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     eigenpairs of B give V1, and the output is economical, k = r columns.
 
     The default svd route works from each block's SVD A_i = P_i Sigma_i
-    Q_i*, on both branches, in Q1's basis: with M = Q1* Q2, it reads the
-    gate and the rank off G = Q1* A*A Q1 (Gershgorin discs, or
-    `eigvalsh(G)` when they do not settle it), and eigendecomposes
-    B' = Q1* B Q1 = M Sigma2 M* - Sigma1 + mu (I - G) cluster by cluster
-    where its couplings are small against its diagonal gaps, dropping
-    the couplings between clusters where they weigh no more than
-    roundoff and rotating them away to first order otherwise.  From the
-    eigenvectors Y of B', V1 = Q1 Y and U_i = P_i Z_i with Z1 = Y and
-    Z2 = M* Y, so U_i has orthonormal columns.
+    Q_i*, on both branches, in Q1's basis: with M = Q1* Q2, it forms G
+    and B in that basis, as Q1* A*A Q1 and B' = Q1* B Q1 = M Sigma2 M* -
+    Sigma1 + mu (I - G), and eigendecomposes B' cluster by cluster where
+    its couplings are small against its diagonal gaps, dropping the
+    couplings between clusters where they weigh no more than roundoff and
+    rotating them away to first order otherwise.  From the eigenvectors Y
+    of B', V1 = Q1 Y and U_i = P_i Z_i with Z1 = Y and Z2 = M* Y, so U_i
+    has orthonormal columns.
 
-    On the qdwh and zolo routes each block's polar route is chosen on its
-    own.  At full rank, a block whose sigma_n / sigma_1 is at least
+    The qdwh and zolo routes work in A's own basis, where B is dense and
+    goes to LAPACK whole.  Each block's polar route is chosen on its own.
+    At full rank, a block whose sigma_n / sigma_1 is at least
     EPSILON = 1e-15 runs the plain iterative polar; one below it is
     rerouted through the fixed-interval polar plus QR fix.  Below full
     rank both blocks go through the fixed-interval polar variant, and U_i
@@ -587,9 +583,9 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     off and the bottom block's runs, then the gate on G is handed off while
     B' is formed, B' is eigendecomposed once, at its final mu, and the top
     half of the finish (V1, U1 and c) is handed off while the bottom half
-    is formed.  On qdwh and zolo the gate, one values-only SVD of A, runs
-    first; then the top block's polar is handed off and the bottom block's
-    runs, B is eigendecomposed, and the top half of the finish (U1 and
+    is formed.  On qdwh and zolo the gate on G runs first; then the top
+    block's polar is handed off and the bottom block's runs, B is
+    eigendecomposed, and the top half of the finish (U1 and
     diag(V1* H1 V1)) is handed off while the bottom half is formed.  From
     n = 90 columns up on zolo, 100 on qdwh and 140 on svd, where the work
     a second thread takes over outlasts the cost of a worker started for
@@ -601,9 +597,9 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     interpreter shutdown, each handed-off job runs on the calling thread
     when it is handed off.  The result is bitwise the same either way,
     and so is the error raised: the gate's before any block's (on svd, a
-    failed block SVD runs the values-only gate before its error is
-    raised), and the top block's before the bottom's.  The worker has
-    exited before this returns.
+    failed block SVD runs the gate on A*A before its error is raised),
+    and the top block's before the bottom's.  The worker has exited
+    before this returns.
     """
     _check_options(opts)
     a = _validated(a, m1)

@@ -42,7 +42,7 @@ from csdk.isometry import (
     stability_report,
     stack_cs,
 )
-from csdk.kernel import U_ROUNDOFF, norm_2, norm_fro, singular_values
+from csdk.kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro, singular_values
 from csdk.polar import polar_modified, polar_svd
 from csdk.symeig import symeig_deflating, symeig_direct
 from csdk.testgen import (
@@ -273,6 +273,12 @@ class TestNoiseScaleSweep:
         assert not failures
 
 
+def _shifted_b(a: np.ndarray, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+    """B at mu = 2 from A and its blocks' Hermitian polar factors, as the
+    qdwh and zolo routes form it."""
+    return build_B(hermitian_part(h2 - h1), hermitian_part(a.conj().T @ a), 2.0)
+
+
 class TestBuildB:
     def test_mu_zero_is_plain_difference(self):
         rng = np.random.default_rng(5)
@@ -280,22 +286,24 @@ class TestBuildB:
         h1 = (h1 + h1.T) / 2
         h2 = rng.standard_normal((3, 3))
         h2 = (h2 + h2.T) / 2
-        a = np.zeros((6, 3))
-        np.testing.assert_array_equal(build_B(h1, h2, a, 0.0), h2 - h1)
+        g = rng.standard_normal((3, 3))
+        np.testing.assert_array_equal(build_B(h2 - h1, g + g.T, 0.0), h2 - h1)
 
     def test_equal_factors_give_zero(self):
+        # On an isometry G = I, so the shift vanishes at either mu.
         h = np.eye(3)
         a = np.vstack([np.eye(3), np.zeros((3, 3))])
-        np.testing.assert_array_equal(build_B(h, h, a, 0.0), np.zeros((3, 3)))
+        for mu in (0.0, 2.0):
+            b = build_B(h - h, a.T @ a, mu)
+            np.testing.assert_array_equal(b, np.zeros((3, 3)))
 
     def test_mu_two_shifts_null_space(self):
         n, seed = 10, 7
         a = gen_rank_deficient_haar(n, seed)
         r = nint(3 * n / 4)
-        h1 = polar_svd(a[:n]).h
-        h2 = polar_svd(a[n:]).h
-        b = build_B(h1, h2, a, 2.0)
-        lam = np.sort(symeig_direct(b).lam)
+        b = _shifted_b(a, polar_svd(a[:n]).h, polar_svd(a[n:]).h)
+        np.testing.assert_array_equal(b, b.conj().T)
+        lam = np.sort(np.linalg.eigvalsh(b))
         assert np.all(np.abs(lam[:r]) <= 1.0 + 1e2 * U)
         np.testing.assert_allclose(lam[r:], np.full(n - r, 2.0), atol=1e2 * U)
 
@@ -308,13 +316,13 @@ class TestBuildB:
         a = gen_rank_deficient_haar(n, seed=6)
         h1 = polar_modified(a[:n], smax=singular_values(a[:n])[0]).h
         h2 = polar_modified(a[n:], smax=singular_values(a[n:])[0]).h
-        lam = symeig_direct(build_B(h1, h2, a, 2.0)).lam
+        lam = np.linalg.eigvalsh(_shifted_b(a, h1, h2))
         assert np.count_nonzero(np.abs(lam) <= 1.0 + 1e-10) == r
         np.testing.assert_allclose(lam[r:], np.full(n - r, 2.0), atol=1e2 * U)
 
     def test_mu_validation(self):
         with pytest.raises(ValueError):
-            build_B(np.eye(2), np.eye(2), np.eye(2), 1.0)
+            build_B(np.eye(2), np.eye(2), 1.0)
 
 
 class TestExtractCs:
@@ -537,9 +545,8 @@ class TestRankDeficient:
             assert rep.residual_2norm <= 50 * n * U
             assert rep.orth_u1 <= 50 * n and rep.orth_u2 <= 50 * n
         # Verify the claimed spectral gap between the active band and mu.
-        h1 = polar_svd(a[:n]).h
-        h2 = polar_svd(a[n:]).h
-        lam = symeig_direct(build_B(h1, h2, a, 2.0)).lam
+        h1, h2 = polar_svd(a[:n]).h, polar_svd(a[n:]).h
+        lam = np.linalg.eigvalsh(_shifted_b(a, h1, h2))
         active, shifted = lam[:r], lam[r:]
         assert np.min(shifted) - np.max(np.abs(active)) >= 0.9
 
@@ -813,6 +820,19 @@ def _eigh_sizes(monkeypatch) -> list[int]:
     return sizes
 
 
+def _singular_values_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """The shape of each matrix that csd's values-only SVD is called on."""
+    shapes = []
+    singular_values = csdk_csd.singular_values
+
+    def recording(x):
+        shapes.append(x.shape)
+        return singular_values(x)
+
+    monkeypatch.setattr(csdk_csd, "singular_values", recording)
+    return shapes
+
+
 def _count_factorizations(monkeypatch) -> dict:
     """Count the SVDs and QRs run from csdk.csd and csdk.polar."""
     return _count_calls(
@@ -856,12 +876,15 @@ class TestFactorizations:
         assert res.branch == ("rank_deficient" if deficient else "full_rank")
 
     def test_qdwh_route_takes_values_only_block_svds(self, monkeypatch):
+        # One values-only SVD per block; the gate reads G = A*A, so no SVD
+        # of A runs.
         n = 12
         a = generate(TestCase(1, False, n, 1))
         counts = _count_factorizations(monkeypatch)
+        shapes = _singular_values_shapes(monkeypatch)
         csd(a, n, CsdOptions(polar_method="qdwh"))
-        assert counts["singular_values"] == 3
-        assert counts["svd_factor"] == 0
+        assert counts["singular_values"] == 2 and counts["svd_factor"] == 0
+        assert shapes == [(n, n), (n, n)]
 
     @pytest.mark.parametrize(
         "method,deficient",
@@ -891,25 +914,23 @@ class TestFactorizations:
     @pytest.mark.parametrize("method", ["svd", "qdwh", "zolo"])
     @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
     def test_one_direct_eigensolve_on_every_route(self, monkeypatch, method, deficient):
-        # B is eigendecomposed once, at its final mu, by LAPACK's
-        # eigensolver, and no spectral split runs.  On qdwh and zolo that is
-        # one symeig_direct of B; on svd, one symeig_deflating of B', which
-        # runs symeig_direct on each of its clusters larger than 1x1.
+        # B is eigendecomposed once, at its final mu, by symeig_deflating,
+        # which runs LAPACK's eigensolver on each of its clusters larger
+        # than 1x1, and no spectral split runs.  In A's own basis, on qdwh
+        # and zolo, B is dense: one cluster, solved whole.
         n = 12
         if deficient:
             a = gen_rank_deficient_haar(n, seed=2)
         else:
             a = gen_haar_stiefel(2 * n, n, seed=2)
-        counts = _count_calls(
-            monkeypatch, ("csdk.csd",), ("symeig_direct", "symeig_deflating")
-        )
+        counts = _count_calls(monkeypatch, ("csdk.csd",), ("symeig_deflating",))
         splits = _count_calls(monkeypatch, ("csdk.symeig",), ("spectral_split",))
+        sizes = _eigh_sizes(monkeypatch)
         csd(a, n, CsdOptions(polar_method=method))
-        if method == "svd":
-            assert counts == {"symeig_direct": 0, "symeig_deflating": 1}
-        else:
-            assert counts == {"symeig_direct": 1, "symeig_deflating": 0}
+        assert counts == {"symeig_deflating": 1}
         assert splits == {"spectral_split": 0}
+        if method != "svd":
+            assert sizes == [n]
 
     def test_perfbench_tracer_installs(self):
         # `perfbench/run.py --trace 1` wraps names in csdk.csd, csdk.polar,
@@ -994,11 +1015,30 @@ def _with_small_columns(n: int, k: int, scale: float) -> np.ndarray:
     return stack_cs(*factors, weight * np.cos(theta), weight * np.sin(theta))
 
 
+def _route_id(case: str, method: str) -> str:
+    """A case's test id on a route; on the default route, the case's own."""
+    return case if method == ROUTES[0] else f"{case}-{method}"
+
+
+def _on_every_route(argnames: str, cases: dict[str, tuple]):
+    """Parametrize a test over cases, keyed by id, and over ROUTES as
+    `method`."""
+    return pytest.mark.parametrize(
+        f"{argnames}, method",
+        [
+            pytest.param(*values, method, id=_route_id(key, method))
+            for method in ROUTES
+            for key, values in cases.items()
+        ],
+    )
+
+
 class TestSvdRoute:
     """The svd route works in the top block's right singular basis Q1: B'
     = Q1* B Q1 is eigendecomposed cluster by cluster, its couplings
     between clusters dropped or rotated away, and the gate and rank come
-    from G = Q1* A*A Q1."""
+    from G = Q1* A*A Q1.  The gate's tests run on every route, where G is
+    A*A in the route's basis."""
 
     def test_clean_haar_deflates_fully_with_no_eigh(self, monkeypatch):
         # Q1 diagonalizes B to roundoff, so every cluster of B' is 1x1 and
@@ -1127,34 +1167,61 @@ class TestSvdRoute:
                 getattr(gathered, field), getattr(multiplied, field)
             )
 
+    def test_identity_rows_refuses_signed_and_phased_permutations(self):
+        # A column gather equals the product with Y only where each column
+        # of Y holds one nonzero, and that is exactly 1.
+        perm = np.eye(3, dtype=complex)[:, [2, 0, 1]]
+        np.testing.assert_array_equal(csdk_csd._identity_rows(perm), [2, 0, 1])
+        for y in (-np.eye(3), np.diag([1, 1j, 1])):
+            assert csdk_csd._identity_rows(y) is None
+
     @pytest.mark.parametrize(
-        "a",
+        "a, method",
         [
-            pytest.param(0.91 * gen_haar_stiefel(80, 40, seed=3), id="scaled-0.91"),
-            pytest.param(1.09 * gen_haar_stiefel(80, 40, seed=3), id="scaled-1.09"),
-            pytest.param(gen_rank_deficient_haar(40, seed=3), id="rank-deficient"),
-            pytest.param(_with_small_columns(40, 10, 0.05), id="sigma-0.05"),
+            # The discs settle G = A*A, in A's own basis on qdwh and zolo,
+            # where it is nearly diagonal, as for a scaled isometry.
+            pytest.param(
+                scale * gen_haar_stiefel(80, 40, seed=3),
+                method,
+                id=_route_id(f"scaled-{scale}", method),
+            )
+            for method in ROUTES
+            for scale in (0.91, 1.09)
+        ]
+        + [
+            pytest.param(gen_rank_deficient_haar(40, seed=3), "svd", id="rank-deficient"),
+            pytest.param(_with_small_columns(40, 10, 0.05), "svd", id="sigma-0.05"),
         ],
     )
-    def test_gate_passes_on_gershgorin_discs(self, monkeypatch, a):
+    def test_gate_passes_on_gershgorin_discs(self, monkeypatch, a, method):
         eigvalshs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigvalsh",))
-        res = csd(a, 40)
+        shapes = _singular_values_shapes(monkeypatch)
+        res = csd(a, 40, CsdOptions(polar_method=method))
         assert eigvalshs == {"eigvalsh": 0}
+        assert a.shape not in shapes
         assert res.rank == np.count_nonzero(singular_values(a) > 0.5)
 
-    @pytest.mark.parametrize("scale", [0.89, 1.11])
-    def test_gate_refuses_tight_discs_outside_the_intervals(self, monkeypatch, scale):
+    @_on_every_route("scale", {"0.89": (0.89,), "1.11": (1.11,)})
+    def test_gate_refuses_tight_discs_outside_the_intervals(
+        self, monkeypatch, scale, method
+    ):
         # G = scale^2 I up to roundoff: its discs are tight, but at 0.7921
         # or 1.2321 they lie in neither interval, so eigvalsh decides.
         a = scale * gen_haar_stiefel(32, 16, seed=3)
         eigvalshs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigvalsh",))
         with pytest.raises(NotNearIsometryError):
-            csd(a, 16)
+            csd(a, 16, CsdOptions(polar_method=method))
         assert eigvalshs == {"eigvalsh": 1}
 
-    @pytest.mark.parametrize("d", [0.09, 0.11])
-    @pytest.mark.parametrize("deficient", [False, True], ids=["full", "deficient"])
-    def test_gate_falls_back_to_eigvalsh(self, monkeypatch, d, deficient):
+    @_on_every_route(
+        "d, deficient",
+        {
+            f"{k}-{d}": (d, k == "deficient")
+            for k in ("full", "deficient")
+            for d in (0.09, 0.11)
+        },
+    )
+    def test_gate_falls_back_to_eigvalsh(self, monkeypatch, d, deficient, method):
         # Singular values spread over [1 - d, 1 + d], and below full rank
         # over [0, d] too, widen G's discs past the intervals; sigma^2 then
         # comes from eigvalsh(G), and csd refuses exactly the inputs that
@@ -1166,22 +1233,25 @@ class TestSvdRoute:
         a = gen_with_singular_values(2 * n, n, sigma, seed=4)
         assert abs(dist_to_partial_isometry(a) - d) <= 1e-12
         eigvalshs = _count_calls(monkeypatch, ("numpy.linalg",), ("eigvalsh",))
+        opts = CsdOptions(polar_method=method)
         if d > 0.1:
             with pytest.raises(NotNearIsometryError, match=f"{d:.3g}"):
-                csd(a, n)
+                csd(a, n, opts)
         else:
-            res = csd(a, n)
+            res = csd(a, n, opts)
             assert res.rank == np.count_nonzero(sigma > 0.5)
             rep = stability_report(a, res)
             assert rep.residual_2norm <= 10 * rep.d_of_a
         assert eigvalshs == {"eigvalsh": 1}
 
-    @pytest.mark.parametrize("noise", [0.0, 1e-10, 1e-6])
-    @pytest.mark.parametrize("class_id", [1, 2, 3, 4])
-    def test_rank_from_gram_matches_svd_rank(self, class_id, noise):
+    @_on_every_route(
+        "class_id, noise",
+        {f"{c}-{x}": (c, x) for c in (1, 2, 3, 4) for x in (0.0, 1e-10, 1e-6)},
+    )
+    def test_rank_from_gram_matches_svd_rank(self, class_id, noise, method):
         n = 40
         a = add_noise(generate(TestCase(class_id, False, n, 2)), noise, seed=3)
-        res = csd(a, n)
+        res = csd(a, n, CsdOptions(polar_method=method))
         assert res.rank == np.count_nonzero(singular_values(a) > 0.5)
         assert res.rank == TestCase(class_id, False, n, 2).rank
 
@@ -1487,9 +1557,9 @@ class TestConcurrentBlockPolars:
             events.append("block")
             return f
 
-        def gate(x, sigma1):
+        def gate(g):
             events.append(("gate", threading.current_thread().name))
-            return gram_gate(x, sigma1)
+            return gram_gate(g)
 
         def eigensolve(b):
             events.append("eigensolve")
@@ -1514,16 +1584,21 @@ class TestConcurrentBlockPolars:
         n = 8
         a = gen_rank_deficient_haar(n, seed=3)
         calls = []
-        singular_values = csdk_csd.singular_values
+        singular_values, gram_gate = csdk_csd.singular_values, csdk_csd._gram_gate
 
         def recording(x):
             calls.append((x.shape, threading.current_thread().name))
             return singular_values(x)
 
+        def gate(g):
+            calls.append(("gate", threading.current_thread().name))
+            return gram_gate(g)
+
         monkeypatch.setattr(csdk_csd, "singular_values", recording)
+        monkeypatch.setattr(csdk_csd, "_gram_gate", gate)
         csd(a, n, CsdOptions(polar_method=method))
-        # The gate's SVD of A, on the caller, before either block's.
-        assert calls[0] == (a.shape, threading.current_thread().name)
+        # The gate on G = A*A, on the caller, before either block's SVD.
+        assert calls[0] == ("gate", threading.current_thread().name)
         assert [shape for shape, _ in calls[1:]] == [(n, n)] * 2
 
     @pytest.mark.parametrize("method", ROUTES)

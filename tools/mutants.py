@@ -129,6 +129,30 @@ MUTANTS = (
         "tests/test_symeig.py::TestSymeigRotated::"
         "test_rotation_above_rotation_max_is_refused",
     ),
+    Mutant(
+        "identity-rows-any-nonzero",
+        "src/csdk/csd.py",
+        "if np.all(y[rows, np.arange(y.shape[1])] == 1.0):",
+        "if True:",
+        "tests/test_csd.py::TestSvdRoute::"
+        "test_identity_rows_refuses_signed_and_phased_permutations",
+    ),
+    Mutant(
+        "gram-lower-1",
+        "src/csdk/csd.py",
+        "_GRAM_LOWER = 0.01\n",
+        "_GRAM_LOWER = 1\n",
+        "tests/test_csd.py::TestSvdRoute::"
+        "test_gate_refuses_tight_discs_outside_the_intervals",
+    ),
+    Mutant(
+        "gram-upper-wide",
+        "src/csdk/csd.py",
+        "_GRAM_UPPER = (0.81, 1.21)\n",
+        "_GRAM_UPPER = (0.0081, 121)\n",
+        "tests/test_csd.py::TestSvdRoute::"
+        "test_gate_refuses_tight_discs_outside_the_intervals",
+    ),
 )
 
 
