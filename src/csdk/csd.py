@@ -39,13 +39,14 @@ iteration.  The whole path runs on numpy's LAPACK.
 The blocks' factorizations are independent, and `csd` has one schedule
 for every call: it hands off the top block's SVD or polar, then (on svd)
 the gate, then the top half of the finish, and runs the bottom block's
-factorization, the eigensolve and the bottom half itself.  Where BLAS runs
-one thread and a second core is free, a worker thread started for the
-call takes the handed-off jobs; elsewhere each runs on the calling thread
-as it is handed off.  The worker pays once its share outlasts its fixed
-cost per call, so the size from which it is started depends on the
-route's work per block: n = 90 on zolo, 100 on qdwh and 140 on svd.
-Either way the result is bitwise the same.
+factorization, the eigensolve and the bottom half itself.  Where OpenBLAS
+runs one thread, as read from OpenBLAS itself at each call, and a second
+core is free, a worker thread started for the call takes the handed-off
+jobs; elsewhere each runs on the calling thread as it is handed off.  The
+worker pays once its share outlasts its fixed cost per call, so the size
+from which it is started depends on the route's work per block: n = 90
+on zolo, 100 on qdwh and 120 on svd.  Either way the result is bitwise
+the same.
 
 The paper's opt-in routes, "qdwh" and "zolo", run a sign iteration
 instead, in A's own basis, where B = H2 - H1 + mu (I - A*A) is dense and
@@ -66,11 +67,11 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import functools
 import logging
 import operator
 import os
-from collections.abc import Mapping
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -133,36 +134,28 @@ POLAR_METHODS = ("svd", "qdwh", "zolo")
 # qdwh and 12-21 ms on zolo.
 # Each entry is the smallest n measured at which at least four in five
 # separate processes, at one BLAS thread on two cores, ran faster at both
-# p50 and p90 with the blocks at once (README).  svd met that at n = 120
-# too, but in perfbench pairs on rank-deficient its latency_p50_s gained
-# in fewer than nine pairs in ten, so svd keeps 140.
-_CONCURRENT_MIN_N = {"svd": 140, "qdwh": 100, "zolo": 90}
+# p50 and p90 with the blocks at once (README).
+_CONCURRENT_MIN_N = {"svd": 120, "qdwh": 100, "zolo": 90}
 
 
-def _overlap_pays(environ: Mapping[str, str], cores: int) -> bool:
-    """Whether two blocks' polars running at once beat them in turn.
-
-    Only with one BLAS thread per block and a core for each: with
-    OpenBLAS's default of one thread per core the two threads' BLAS calls
-    share the cores, and running the blocks at once was slower (README).
-    OpenBLAS takes its thread count, once when it loads, from the first of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS set to a
-    positive number; numpy does not report it, so the same rule is read
-    here.  Any other BLAS, or an unset count, keeps the blocks in turn.
-    """
-    if cores < 2:
-        return False
+@functools.cache
+def _blas_threads():
+    """OpenBLAS's own thread-count getter, as numpy's LAPACK calls link
+    it, or None for any other BLAS or where it cannot be looked up."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy before 1.25 reports no dict
-        return False
-    if "openblas" not in str(blas.get("name", "")).lower():
-        return False
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value) == 1
-    return False
+        from numpy.linalg import _umath_linalg
+
+        # A handle to the module also finds the symbols of its libraries.
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    # The name numpy's wheels export, then a plain OpenBLAS build's.
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.restype, getter.argtypes = ctypes.c_int, ()
+            return getter
+    return None
 
 
 def _usable_cores() -> int:
@@ -172,7 +165,14 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-_OVERLAP_PAYS = _overlap_pays(os.environ, _usable_cores())
+def _overlap_pays() -> bool:
+    """Whether two blocks' polars running at once beat them in turn, read
+    at each call: only where OpenBLAS runs one thread and the process may
+    use two cores or more.  With OpenBLAS's default of one thread per core
+    the two threads' BLAS calls share the cores, and running the blocks at
+    once was slower (README).  Any other BLAS keeps the blocks in turn."""
+    get_threads = _blas_threads()
+    return get_threads is not None and get_threads() == 1 and _usable_cores() >= 2
 
 
 @dataclass(frozen=True)
@@ -587,15 +587,16 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     block's polar is handed off and the bottom block's runs, B is
     eigendecomposed, and the top half of the finish (U1 and
     diag(V1* H1 V1)) is handed off while the bottom half is formed.  From
-    n = 90 columns up on zolo, 100 on qdwh and 140 on svd, where the work
+    n = 90 columns up on zolo, 100 on qdwh and 120 on svd, where the work
     a second thread takes over outlasts the cost of a worker started for
     the call, a worker thread takes the handed-off jobs when OpenBLAS runs
-    one thread (the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS that is set reads 1 when this module is imported) and
-    the process may use two cores or more; with more BLAS threads the two
-    would compete for the cores and run slower.  Otherwise, and during
-    interpreter shutdown, each handed-off job runs on the calling thread
-    when it is handed off.  The result is bitwise the same either way,
+    one thread and the process may use two cores or more, both read at
+    each call; with more BLAS threads the two would compete for the cores
+    and run slower.  OpenBLAS's count is asked of OpenBLAS itself, so
+    OPENBLAS_NUM_THREADS=1 and a runtime openblas_set_num_threads(1) both
+    count; its default, one thread per core, keeps the blocks in turn, as
+    does any other BLAS.  Otherwise, and during interpreter shutdown,
+    each handed-off job runs on the calling thread when it is handed off.  The result is bitwise the same either way,
     and so is the error raised: the gate's before any block's (on svd, a
     failed block SVD runs the gate on A*A before its error is raised),
     and the top block's before the bottom's.  The worker has exited
@@ -604,7 +605,7 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     _check_options(opts)
     a = _validated(a, m1)
     n = a.shape[1]
-    if n >= _CONCURRENT_MIN_N[opts.polar_method] and _OVERLAP_PAYS and _own_polars():
+    if n >= _CONCURRENT_MIN_N[opts.polar_method] and _overlap_pays() and _own_polars():
         pool = ThreadPoolExecutor(1, thread_name_prefix="csdk-polar")
     else:
         pool = contextlib.nullcontext()

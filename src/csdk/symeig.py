@@ -111,7 +111,15 @@ def symeig_deflating(b: np.ndarray) -> SymEigResult:
     refused B, goes unsorted to one `symeig_direct`.
     """
     n = b.shape[0]
-    order = np.argsort(b.diagonal().real, kind="stable")
+    diagonal = b.diagonal().real
+    # The stable sort puts the first smallest diagonal entry first and the
+    # last largest last; if those two are coupled, every index lies between
+    # them, and B is one cluster with no sort.
+    lo = int(np.argmin(diagonal))
+    hi = n - 1 - int(np.argmax(diagonal[::-1]))
+    if abs(b[lo, hi]) >= _GAP_TOL * (diagonal[hi] - diagonal[lo]):
+        return symeig_direct(b)
+    order = np.argsort(diagonal, kind="stable")
     sorted_b = b[np.ix_(order, order)]
     d = sorted_b.diagonal().real
     mag = np.abs(sorted_b)

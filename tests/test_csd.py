@@ -2,6 +2,7 @@
 post-processing, the structural invariants, and the factorizations each
 route runs."""
 
+import ctypes
 import importlib
 import logging
 import os
@@ -1286,7 +1287,7 @@ def _concurrent_from(monkeypatch, n: int) -> None:
 def overlapping(monkeypatch):
     """The block polars run at once on every input, whatever the host."""
     _concurrent_from(monkeypatch, 1)
-    monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
+    monkeypatch.setattr(csdk_csd, "_overlap_pays", lambda: True)
 
 
 def _patch_block_jobs(monkeypatch, job) -> None:
@@ -1368,7 +1369,7 @@ class TestConcurrentBlockPolars:
     @pytest.mark.parametrize("method", ROUTES)
     @pytest.mark.parametrize("a, iterative_branch", _concurrency_inputs())
     def test_bitwise_equal_to_sequential(self, monkeypatch, method, a, iterative_branch):
-        monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
+        monkeypatch.setattr(csdk_csd, "_overlap_pays", lambda: True)
         results = []
         for threshold in (1, 10**9):
             _concurrent_from(monkeypatch, threshold)
@@ -1385,7 +1386,7 @@ class TestConcurrentBlockPolars:
 
     @pytest.mark.parametrize("threshold, uses_worker", [(16, True), (17, False)])
     def test_worker_only_from_the_threshold_up(self, monkeypatch, threshold, uses_worker):
-        monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
+        monkeypatch.setattr(csdk_csd, "_overlap_pays", lambda: True)
         _concurrent_from(monkeypatch, threshold)
         threads = _recording_block_threads(monkeypatch, 16)
         csd(gen_haar_stiefel(35, 16, seed=5), 16)
@@ -1394,14 +1395,14 @@ class TestConcurrentBlockPolars:
         assert top.startswith("csdk-polar") == uses_worker
 
     @pytest.mark.parametrize(
-        "method, uses_worker", [("qdwh", True), ("zolo", True), ("svd", False)]
+        "method, uses_worker", [("qdwh", True), ("zolo", True), ("svd", True)]
     )
     def test_routes_with_long_blocks_overlap_at_n_120(
         self, monkeypatch, method, uses_worker
     ):
-        # The thresholds as shipped: at n = 120 a sign-iteration block runs
-        # long enough to pay for a worker, an SVD block does not.
-        monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", True)
+        # The minimums as shipped: at n = 120 a block runs long enough to
+        # pay for a worker on every route.
+        monkeypatch.setattr(csdk_csd, "_overlap_pays", lambda: True)
         threads = _recording_block_threads(monkeypatch, 120)
         csd(gen_haar_stiefel(241, 120, seed=5), 120, CsdOptions(polar_method=method))
         assert threads["bottom"] == [threading.current_thread().name]
@@ -1411,35 +1412,40 @@ class TestConcurrentBlockPolars:
     @pytest.mark.parametrize("pays", [True, False])
     def test_worker_only_where_overlap_pays(self, monkeypatch, pays):
         _concurrent_from(monkeypatch, 1)
-        monkeypatch.setattr(csdk_csd, "_OVERLAP_PAYS", pays)
+        monkeypatch.setattr(csdk_csd, "_overlap_pays", lambda: pays)
         threads = _recording_block_threads(monkeypatch, 8)
         csd(gen_haar_stiefel(19, 8, seed=5), 8)
         (top,) = threads["top"]
         assert top.startswith("csdk-polar") == pays
 
     @pytest.mark.parametrize(
-        "environ, cores, pays",
-        [
-            ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
-            ({"OMP_NUM_THREADS": "1"}, 4, True),
-            ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 2, True),
-            ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
-            ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
-            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
-            ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2, True),
-            ({"OPENBLAS_NUM_THREADS": "x"}, 2, False),
-            ({}, 2, False),
-        ],
+        "threads, cores",
+        [(1, 2), (1, 4), (1, 1), (2, 1), (2, 2), (2, 4), (None, 1), (None, 2), (None, 4)],
         ids=[
-            "openblas-1", "omp-1", "goto-before-omp", "one-core", "openblas-2",
-            "openblas-before-omp", "zero-is-unset", "not-a-number", "unset",
+            "openblas-1", "openblas-1-four-cores", "one-core", "openblas-2-one-core",
+            "openblas-2", "openblas-2-four-cores", "no-openblas-one-core",
+            "no-openblas", "no-openblas-four-cores",
         ],
     )
-    def test_overlap_pays_with_one_blas_thread_and_two_cores(self, environ, cores, pays):
-        # numpy's wheels ship OpenBLAS; with another BLAS nothing overlaps.
+    def test_overlap_pays_with_one_blas_thread_and_two_cores(
+        self, monkeypatch, threads, cores
+    ):
+        # The count comes from a ctypes function, as OpenBLAS's getter
+        # does, or there is no getter, as with any other BLAS.
+        getter = None if threads is None else ctypes.CFUNCTYPE(ctypes.c_int)(
+            lambda: threads
+        )
+        monkeypatch.setattr(csdk_csd, "_blas_threads", lambda: getter)
+        monkeypatch.setattr(csdk_csd, "_usable_cores", lambda: cores)
+        assert csdk_csd._overlap_pays() is (threads == 1 and cores >= 2)
+
+    def test_blas_thread_count_is_openblas_own(self):
+        # numpy's wheels ship OpenBLAS, whose getter reads its live count.
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-        expected = pays and "openblas" in blas.lower()
-        assert csdk_csd._overlap_pays(environ, cores) is expected
+        if "openblas" not in blas.lower():
+            pytest.skip(f"numpy links {blas}, not OpenBLAS")
+        get_threads = csdk_csd._blas_threads()
+        assert get_threads is not None and get_threads() >= 1
 
     @pytest.mark.parametrize("blas_threads", ["1", "2"])
     def test_overlap_follows_the_process_environment(self, blas_threads):
@@ -1450,12 +1456,59 @@ class TestConcurrentBlockPolars:
                 os.environ.pop(name, None)
             os.environ["OPENBLAS_NUM_THREADS"] = "%s"
             csd_mod = importlib.import_module("csdk.csd")
-            print(csd_mod._OVERLAP_PAYS, csd_mod._usable_cores())
+            get_threads = csd_mod._blas_threads()
+            print(get_threads and get_threads(), csd_mod._usable_cores())
+            print(csd_mod._overlap_pays())
             """ % blas_threads
         )
         assert proc.returncode == 0, proc.stderr
-        pays, cores = proc.stdout.split()
-        assert pays == str(blas_threads == "1" and int(cores) >= 2)
+        count, cores, pays = proc.stdout.split()
+        assert count in (blas_threads, "None")
+        assert pays == str(count == "1" and int(cores) >= 2)
+
+    def test_thread_count_set_at_runtime_takes_effect_on_the_next_call(self):
+        # With no variable set, OpenBLAS starts at its default count; once
+        # its setter pins one thread, the next call overlaps the blocks,
+        # and once it sets two again, the call after runs them in turn.
+        proc = _run_script(
+            """
+            import ctypes, importlib, os, threading
+            for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+                os.environ.pop(name, None)
+            from numpy.linalg import _umath_linalg
+            from csdk.testgen import gen_haar_stiefel
+
+            csd_mod = importlib.import_module("csdk.csd")
+            if csd_mod._blas_threads() is None or csd_mod._usable_cores() < 2:
+                raise SystemExit(77)
+            lib = ctypes.CDLL(_umath_linalg.__file__)
+            setter = next(
+                getattr(lib, name)
+                for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads")
+                if hasattr(lib, name)
+            )
+            setter.restype, setter.argtypes = None, (ctypes.c_int,)
+            csd_mod._CONCURRENT_MIN_N = dict.fromkeys(csd_mod._CONCURRENT_MIN_N, 1)
+            svd_factor = csd_mod.svd_factor
+            top = []
+
+            def recording(block):
+                if block.shape[0] == 8:
+                    top.append(threading.current_thread().name)
+                return svd_factor(block)
+
+            csd_mod.svd_factor = csd_mod._OWN_POLARS["svd_factor"] = recording
+            a = gen_haar_stiefel(19, 8, seed=7)
+            for count in (1, 2):
+                setter(count)
+                csd_mod.csd(a, 8)
+                print(csd_mod._blas_threads()(), top[-1].startswith("csdk-polar"))
+            """
+        )
+        if proc.returncode == 77:
+            pytest.skip("no OpenBLAS getter, or one core")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["1", "True", "2", "False"]
 
     def test_replaced_polar_routine_runs_in_turn(self, overlapping, monkeypatch):
         # A replacement, say a profiler's wrapper, need not be thread-safe.
@@ -1664,7 +1717,7 @@ class TestConcurrentBlockPolars:
 
             csd_mod = importlib.import_module("csdk.csd")
             csd_mod._CONCURRENT_MIN_N = dict.fromkeys(csd_mod._CONCURRENT_MIN_N, 1)
-            csd_mod._OVERLAP_PAYS = True
+            csd_mod._overlap_pays = lambda: True
             a = gen_haar_stiefel(16, 8, seed=7)
             before = csd_mod.csd(a, 8)
             pid = os.fork()
@@ -1691,7 +1744,7 @@ class TestConcurrentBlockPolars:
 
             csd_mod = importlib.import_module("csdk.csd")
             csd_mod._CONCURRENT_MIN_N = dict.fromkeys(csd_mod._CONCURRENT_MIN_N, 1)
-            csd_mod._OVERLAP_PAYS = True
+            csd_mod._overlap_pays = lambda: True
             a = gen_haar_stiefel(16, 8, seed=7)
             before = csd_mod.csd(a, 8)  # starts the worker
 

@@ -209,6 +209,49 @@ class TestSymeigRotated:
         np.testing.assert_array_equal(res.v, direct.v)
         np.testing.assert_array_equal(res.lam, direct.lam)
 
+    @pytest.mark.parametrize(
+        "b",
+        [rand_herm(40, seed=6), np.zeros((40, 40), dtype=complex)],
+        ids=["dense", "equal-diagonal"],
+    )
+    def test_one_cluster_goes_to_one_eigh_unsorted(self, monkeypatch, b):
+        # The first smallest and the last largest diagonal entries are
+        # coupled, or equal, so B is one cluster: it goes to one
+        # symeig_direct, with its bits, before any sort or clustering.
+        direct = symeig_direct(b)
+
+        def refusing(coupled):
+            raise AssertionError("a one-cluster B was clustered")
+
+        monkeypatch.setattr(symeig_module, "_joined_stops", refusing)
+        sizes = eigh_sizes(monkeypatch)
+        res = symeig_deflating(b)
+        assert res.method == "direct" and sizes == [b.shape[0]]
+        np.testing.assert_array_equal(res.v, direct.v)
+        np.testing.assert_array_equal(res.lam, direct.lam)
+
+    def test_clusters_joined_through_a_chain_are_one_cluster(self, monkeypatch):
+        # Each neighbour couples above _GAP_TOL of its gap, but the two
+        # ends do not: the chain still makes B one cluster, found by the
+        # sort, and B goes unsorted to one symeig_direct.
+        n = 20
+        b = np.diag(np.linspace(-1.0, 1.0, n)).astype(complex)
+        for i in range(n - 1):
+            b[i, i + 1] = b[i + 1, i] = 1e-3
+        direct = symeig_direct(b)
+        stops = []
+        joined_stops = symeig_module._joined_stops
+
+        def recording(coupled):
+            stops.append(joined_stops(coupled))
+            return stops[-1]
+
+        monkeypatch.setattr(symeig_module, "_joined_stops", recording)
+        res = symeig_deflating(b)
+        assert [s.tolist() for s in stops] == [[n]]
+        assert res.method == "direct"
+        np.testing.assert_array_equal(res.v, direct.v)
+
     def test_equal_diagonal_without_coupling_is_one_cluster(self, monkeypatch):
         # Equal diagonal entries join a cluster even with no coupling, so
         # no gap of zero is divided by.

@@ -153,6 +153,29 @@ MUTANTS = (
         "tests/test_csd.py::TestSvdRoute::"
         "test_gate_refuses_tight_discs_outside_the_intervals",
     ),
+    Mutant(
+        "one-cluster-test-inverted",
+        "src/csdk/symeig.py",
+        "if abs(b[lo, hi]) >= _GAP_TOL * (diagonal[hi] - diagonal[lo]):",
+        "if abs(b[lo, hi]) < _GAP_TOL * (diagonal[hi] - diagonal[lo]):",
+        "tests/test_csd.py::TestSvdRoute::test_clean_haar_deflates_fully_with_no_eigh",
+    ),
+    Mutant(
+        "svd-worker-from-140",
+        "src/csdk/csd.py",
+        '_CONCURRENT_MIN_N = {"svd": 120,',
+        '_CONCURRENT_MIN_N = {"svd": 140,',
+        "tests/test_csd.py::TestConcurrentBlockPolars::"
+        "test_routes_with_long_blocks_overlap_at_n_120",
+    ),
+    Mutant(
+        "any-blas-thread-count-overlaps",
+        "src/csdk/csd.py",
+        "get_threads() == 1",
+        "get_threads() >= 1",
+        "tests/test_csd.py::TestConcurrentBlockPolars::"
+        "test_overlap_pays_with_one_blas_thread_and_two_cores",
+    ),
 )
 
 
