@@ -31,10 +31,11 @@ the gaps of its diagonal: they are dropped where they weigh no more than
 roundoff, as on most clean input, and rotated away to first order
 otherwise.  The finish reads U_i = P_i Z_i and the diagonals
 colsum(sigma_i |Z_i|^2) from the eigenvectors Y of B', with Z1 = Y and
-Z2 = M* Y, gathering columns where Y is a permutation.  The route is
-unconditionally stable, so it needs no thresholds, no fixed-interval
-variant and no QR fix, and on a few cores it is faster than either sign
-iteration.  The whole path runs on numpy's LAPACK.
+Z2 = M* Y, gathering columns where the eigensolve reports Y a
+permutation.  The route is unconditionally stable, so it needs no
+thresholds, no fixed-interval variant and no QR fix, and on a few cores
+it is faster than either sign iteration.  The whole path runs on numpy's
+LAPACK.
 
 The blocks' factorizations are independent, and `csd` has one schedule
 for every call: it hands off the top block's SVD or polar, then (on svd)
@@ -265,10 +266,11 @@ def polar_via_qr_fix(
     H = Q_H R_H.  Under the nonnegative-diagonal convention those two
     R-factors agree up to O(u) exactly when the swap is legitimate; their
     relative difference is returned as r_agreement, and if it exceeds
-    1e3*n*u the routine falls back to the SVD route.  Which blocks come
-    here is decided by the caller alone (`_polar_for_block`).  smax is
-    A_i's largest singular value, which must be positive, and method the
-    sign iteration of the fixed-interval variant.
+    1e3*n*u ConvergenceError is raised with it.  Which blocks come here,
+    and where a failed one goes, is decided by the caller alone
+    (`_polar_for_block`).  smax is A_i's largest singular value, which
+    must be positive, and method the sign iteration of the fixed-interval
+    variant.
     """
     ai = np.asarray(ai, dtype=np.complex128)
     modified = polar_modified(ai, smax=smax, method=method)
@@ -278,11 +280,10 @@ def polar_via_qr_fix(
     r_agreement = norm_fro(qh.r - qa.r) / denom
     n = ai.shape[1]
     if r_agreement > _R_AGREEMENT_FACTOR * n * U_ROUNDOFF:
-        _log.warning(
-            "QR fix falls back to the SVD polar: R-factor agreement %.3e "
-            "exceeds %.0e*n*u", r_agreement, _R_AGREEMENT_FACTOR,
+        raise ConvergenceError(
+            f"QR fix R-factor agreement {r_agreement:.3e} exceeds "
+            f"{_R_AGREEMENT_FACTOR:.0e}*n*u"
         )
-        return polar_svd(ai), r_agreement
     w = qa.q @ qh.q.conj().T
     return replace(modified, w=w), r_agreement
 
@@ -301,11 +302,11 @@ def _polar_for_block(
     block: np.ndarray, opts: CsdOptions, rank: int
 ) -> tuple[PolarFactors, bool]:
     """Polar factors of one block of A on the qdwh or zolo route, plus
-    whether the QR-fix route was taken.  The block's singular values, from
+    whether it was sent to the QR fix.  The block's singular values, from
     one values-only SVD, are read against the thresholds `csd` documents,
     and the largest (and, at full rank, the smallest) go to the polar
-    routine.  This is the only place that decides which blocks take the QR
-    fix.
+    routine.  This is the only place that picks the QR fix, and the only
+    fallback: a ConvergenceError is logged, and the SVD polar runs instead.
     """
     sigmas = singular_values(block)
     smax, smin = float(sigmas[0]), float(sigmas[-1])
@@ -319,18 +320,15 @@ def _polar_for_block(
     else:
         active_min = float(sigmas[rank - 1]) if rank >= 1 else 0.0
         ill = active_min < _RANK_DEFICIENT_FIX_THRESHOLD
-    if ill:
-        fixed, _ = polar_via_qr_fix(block, smax=smax, method=method)
-        return fixed, True
-    if not full_rank:
-        return polar_modified(block, smax=smax, method=method), False
     try:
-        return polar_iterative(block, smax, smin, method=method), False
+        if ill:
+            return polar_via_qr_fix(block, smax=smax, method=method)[0], ill
+        if not full_rank:
+            return polar_modified(block, smax=smax, method=method), ill
+        return polar_iterative(block, smax, smin, method=method), ill
     except ConvergenceError as exc:
-        # The iteration did not reach an orthonormal factor; the SVD route
-        # is unconditionally stable.
         _log.warning("%s polar falls back to the SVD polar: %s", method, exc)
-        return polar_svd(block), False
+        return polar_svd(block), ill
 
 
 def _own_polars() -> bool:
@@ -419,18 +417,9 @@ def _finish_half(pf: PolarFactors, v1: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return pf.w @ v1, _projected_diagonal(v1, pf.h)
 
 
-def _identity_rows(y: np.ndarray) -> np.ndarray | None:
-    """Where Y's columns are columns of the identity, as where every
-    cluster of B' is 1x1, the row of each column's 1; else None."""
-    if np.count_nonzero(y) == y.shape[1]:
-        rows = np.argmax(y != 0, axis=0)
-        if np.all(y[rows, np.arange(y.shape[1])] == 1.0):
-            return rows
-    return None
-
-
 def _times(x: np.ndarray, y: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """X Y; with Y's `_identity_rows`, a column gather of X with the same
+    """X Y; where Y is a permutation, column j of Y being column rows[j] of
+    I as `symeig_deflating` reports it, a column gather of X with the same
     entries."""
     if rows is None:
         return x @ y
@@ -532,9 +521,10 @@ def _csd_svd(a: np.ndarray, m1: int, handoff) -> CsdResult:
     mu = 0.0 if rank == n else 2.0
     b = build_B(b, g, mu)
     del g
-    y = symeig_deflating(b).v[:, :rank]
+    eig = symeig_deflating(b)
     del b
-    rows = _identity_rows(y)
+    y = eig.v[:, :rank]
+    rows = None if eig.rows is None else eig.rows[:rank]
     top_half = handoff(_top_svd_half, f1, y, rows)
     try:
         z2 = _times(m.conj().T, y, rows)
@@ -577,7 +567,10 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     rank both blocks go through the fixed-interval polar variant, and U_i
     comes out orthonormal because its map sends every active singular
     value to 1 - O(u).  A block whose r-th singular value is below 1e-7
-    additionally gets the QR fix.
+    additionally gets the QR fix.  A block whose polar fails, in a sign
+    iteration, in a LAPACK round or in the QR fix's R-factor agreement,
+    gets the SVD polar instead, with one warning on the "csdk" logger
+    that gives the reason.
 
     Every call runs one schedule.  On svd: the top block's SVD is handed
     off and the bottom block's runs, then the gate on G is handed off while
@@ -596,11 +589,11 @@ def csd(a: np.ndarray, m1: int, opts: CsdOptions = CsdOptions()) -> CsdResult:
     OPENBLAS_NUM_THREADS=1 and a runtime openblas_set_num_threads(1) both
     count; its default, one thread per core, keeps the blocks in turn, as
     does any other BLAS.  Otherwise, and during interpreter shutdown,
-    each handed-off job runs on the calling thread when it is handed off.  The result is bitwise the same either way,
-    and so is the error raised: the gate's before any block's (on svd, a
-    failed block SVD runs the gate on A*A before its error is raised),
-    and the top block's before the bottom's.  The worker has exited
-    before this returns.
+    each handed-off job runs on the calling thread when it is handed off.
+    The result is bitwise the same either way, and so is the error raised:
+    the gate's before any block's (on svd, a failed block SVD runs the
+    gate on A*A before its error is raised), and the top block's before
+    the bottom's.  The worker has exited before this returns.
     """
     _check_options(opts)
     a = _validated(a, m1)

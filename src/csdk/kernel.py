@@ -45,6 +45,7 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def norm_fro(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
+
 def norm_2(a: np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
     if a.size == 0:

@@ -48,11 +48,14 @@ _ROTATION_MAX = 1e-4
 
 @dataclass(frozen=True)
 class SymEigResult:
-    """Eigendecomposition B = V diag(lam) V* with lam ascending."""
+    """Eigendecomposition B = V diag(lam) V* with lam ascending; where
+    `symeig_deflating` finds V a permutation, column j of V is column
+    rows[j] of I, and rows is None otherwise."""
 
     v: np.ndarray
     lam: np.ndarray
     method: str
+    rows: np.ndarray | None
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
@@ -73,7 +76,7 @@ def symeig_direct(b: np.ndarray) -> SymEigResult:
         lam, v = np.linalg.eigh(bh)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh did not converge: {exc}") from exc
-    return SymEigResult(_phase_normalize(v), lam, "direct")
+    return SymEigResult(_phase_normalize(v), lam, "direct", None)
 
 
 def _joined_stops(coupled: np.ndarray) -> np.ndarray:
@@ -97,18 +100,18 @@ def symeig_deflating(b: np.ndarray) -> SymEigResult:
     Each cluster larger than 1x1 goes to `symeig_direct`, and its
     eigenvectors V_k rotate its rows and columns of B; F is what then
     couples the clusters.  When ||F||_F <= n u ||B||_F, F is dropped, a
-    backward error of roundoff size, and the eigenvectors are
-    P blockdiag(V_k), P undoing the sort: a permutation where every
-    cluster is 1x1.  A heavier F is rotated away to first order:
-    E_ij = F_ij / (lam_j - lam_i) is skew-Hermitian, and the eigenvectors
-    are P blockdiag(V_k) (I + E + E^2/2), orthonormal up to ||E||^4, with
-    a residual of (FE - EF)/2 + O(||F|| ||E||^2).  That is accepted only
-    if ||F||_F ||E||_F <= n u ||B||_F, the drop's budget, and ||E||_F <=
-    _ROTATION_MAX.  Refused before any solve are a cluster larger than
-    n/2 and an F with ||F||_F^2 > 2 n u ||B||_F^2, which cannot meet the
-    budget: the rotations keep ||F||_F, and no gap exceeds 2 ||B||_F, so
-    ||E||_F >= ||F||_F / (2 ||B||_F).  A B that is one cluster, and every
-    refused B, goes unsorted to one `symeig_direct`.
+    backward error of roundoff size, and the eigenvectors are P
+    blockdiag(V_k), P undoing the sort: a permutation, returned as `rows`
+    too, where every cluster is 1x1.  A heavier F is rotated away to first
+    order: E_ij = F_ij / (lam_j - lam_i) is skew-Hermitian, and the
+    eigenvectors are P blockdiag(V_k) (I + E + E^2/2), orthonormal up to
+    ||E||^4, with a residual of (FE - EF)/2 + O(||F|| ||E||^2).  That is
+    accepted only if ||F||_F ||E||_F <= n u ||B||_F, the drop's budget,
+    and ||E||_F <= _ROTATION_MAX.  Refused before any solve are a cluster
+    larger than n/2 and an F with ||F||_F^2 > 2 n u ||B||_F^2, which
+    cannot meet the budget: the rotations keep ||F||_F, and no gap exceeds
+    2 ||B||_F, so ||E||_F >= ||F||_F / (2 ||B||_F).  A B that is one
+    cluster, and every refused B, goes unsorted to one `symeig_direct`.
     """
     n = b.shape[0]
     diagonal = b.diagonal().real
@@ -152,8 +155,6 @@ def symeig_deflating(b: np.ndarray) -> SymEigResult:
             clusters.append((rows, res.v))
     if drop:
         y = np.eye(n, dtype=np.complex128)
-        for rows, v in clusters:
-            y[rows, rows] = v
         method = "deflating"
     else:
         for rows, v in clusters:
@@ -177,11 +178,15 @@ def symeig_deflating(b: np.ndarray) -> SymEigResult:
         y += e
         del e
         y[np.diag_indices(n)] += 1.0
-        for rows, v in clusters:
-            y[rows] = v @ y[rows]
         method = "rotated"
+    for rows, v in clusters:
+        y[rows] = v @ y[rows]
     ascending = np.argsort(lam, kind="stable")
-    return SymEigResult(y[np.ix_(np.argsort(order), ascending)], lam[ascending], method)
+    # With no cluster rotated and F dropped, Y is I: V is a permutation.
+    perm = order[ascending] if drop and not clusters else None
+    return SymEigResult(
+        y[np.ix_(np.argsort(order), ascending)], lam[ascending], method, perm
+    )
 
 
 def spectral_split(
@@ -276,4 +281,4 @@ def symeig_sdc(b: np.ndarray, *, split_log: list | None = None) -> SymEigResult:
     depth_cap = 2 * max(1, math.ceil(math.log2(max(n, 2)))) + 8
     v, lam = _sdc_recurse(bh, 0, depth_cap, split_log)
     order = np.argsort(lam, kind="stable")
-    return SymEigResult(_phase_normalize(v[:, order]), lam[order], "sdc")
+    return SymEigResult(_phase_normalize(v[:, order]), lam[order], "sdc", None)

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from csdk.isometry import (
 )
 from csdk.kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro, singular_values
 from csdk.polar import polar_modified, polar_svd
-from csdk.symeig import symeig_deflating, symeig_direct
+from csdk.symeig import symeig_deflating
 from csdk.testgen import (
     TestCase,
     add_noise,
@@ -181,6 +182,26 @@ class TestCsdDispatch:
         # A block whose iteration fails, or whose round LAPACK refuses, goes
         # to the SVD polar, and the switch is logged with its reason.  B's
         # eigensolve has no fallback: its LAPACK failure is raised typed.
+        # Below full rank the fixed-interval polar falls back alike.
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        n = 8
+        a = generate(TestCase(3, False, n, 1))
+        for method in ("qdwh", "zolo"):
+            caplog.clear()
+            with monkeypatch.context() as patch, caplog.at_level(
+                logging.WARNING, logger="csdk"
+            ):
+                patch.setattr(np.linalg, "solve", fail)
+                res = csd(a, n, CsdOptions(polar_method=method))
+            assert res.rank == nint(3 * n / 4), method
+            rep = stability_report(a, res)
+            assert rep.residual_2norm <= max(50 * n * U, 10 * rep.d_of_a), method
+            assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 50 * n, method
+            fallbacks = caplog.text.count("falls back to the SVD polar: ")
+            assert fallbacks == caplog.text.count("forced") == 2, method
+
         n = 6
         a = gen_haar_stiefel(2 * n, n, seed=3)
         opts = CsdOptions(polar_method="qdwh")
@@ -326,7 +347,7 @@ class TestBuildB:
             build_B(np.eye(2), np.eye(2), 1.0)
 
 
-class TestExtractCs:
+class TestProjectedDiagonal:
     # csd reads C and S as the diagonals of V1* H1 V1 and V1* H2 V1.
     def test_identity_basis_reads_diagonal(self):
         h1 = np.diag([0.6, 0.8]).astype(complex)
@@ -335,19 +356,6 @@ class TestExtractCs:
         c, s = _projected_diagonal(v1, h1), _projected_diagonal(v1, h2)
         np.testing.assert_allclose(c, [0.6, 0.8])
         np.testing.assert_allclose(s, [0.8, 0.6])
-
-    def test_difference_basis_diagonalizes_h2_and_h1_basis_does_not(self):
-        a, _, _ = clustered_three_angle_stack()
-        h1 = np.asarray(a[:3])
-        h2 = np.asarray(a[3:])
-        vgood = symeig_direct(h2 - h1).v
-        vbad = symeig_direct(h1).v
-        off_good = vgood.conj().T @ h2 @ vgood
-        off_bad = vbad.conj().T @ h2 @ vbad
-        off_good -= np.diag(np.diagonal(off_good))
-        off_bad -= np.diag(np.diagonal(off_bad))
-        assert np.max(np.abs(off_good)) <= 1e-15
-        assert np.max(np.abs(off_bad)) >= 1e-10
 
     def test_constructed_factors_recovered(self):
         n = 6
@@ -406,15 +414,43 @@ class TestPolarViaQrFix:
         assert norm_fro(pf.w @ pf.h - a2) <= 50 * n * U
         assert norm_fro(pf.w.conj().T @ pf.w - np.eye(n)) <= 50 * n * U
 
-    def test_rejected_agreement_falls_back_loudly(self, monkeypatch, caplog):
-        # An R-factor agreement above the bound switches to the SVD polar,
-        # and the switch is logged with its reason.
-        monkeypatch.setattr(csdk_csd, "_R_AGREEMENT_FACTOR", -1.0)
+    def test_rejected_agreement_raises(self, monkeypatch):
+        # The fix itself does not fall back: an R-factor agreement above
+        # 1e3 n u raises, naming the agreement.
+        _miss_h(monkeypatch, 1e4)
         a = np.diag([1.0, 1e-16]).astype(complex)
-        with caplog.at_level(logging.WARNING, logger="csdk"):
-            pf, _ = polar_via_qr_fix(a, smax=1.0)
-        assert pf.method == "svd"
-        assert "R-factor agreement" in caplog.text
+        with pytest.raises(ConvergenceError, match="R-factor agreement"):
+            polar_via_qr_fix(a, smax=1.0)
+
+    def test_rejected_agreement_falls_back_loudly(self, monkeypatch, caplog):
+        # Both blocks take the QR fix, and an H that misses by 1e4 n u,
+        # between the bound 1e3 n u and a thousand times it, fails each:
+        # csd logs the reason and gives both blocks the SVD polar.
+        n = 8
+        a = _full_rank_ill_conditioned(n)
+        _miss_h(monkeypatch, 1e4)
+        for method in ("qdwh", "zolo"):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="csdk"):
+                res = csd(a, n, CsdOptions(polar_method=method))
+            assert res.branch == "ill_conditioned", method
+            fallbacks = caplog.text.count("polar falls back to the SVD polar: QR fix")
+            assert fallbacks == 2, method
+            rep = stability_report(a, res)
+            assert rep.residual_2norm <= 50 * n * U, method
+            assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 50 * n, method
+
+
+def _miss_h(monkeypatch, factor: float) -> None:
+    """Make csd's fixed-interval polar return H (1 + factor n u), so that
+    the QR fix's R-factors differ by factor n u."""
+    modified = csdk_csd.polar_modified
+
+    def missing(a, **kwargs):
+        pf = modified(a, **kwargs)
+        return replace(pf, h=pf.h * (1.0 + factor * a.shape[1] * U))
+
+    monkeypatch.setattr(csdk_csd, "polar_modified", missing)
 
 
 def _qr_fix_repros():
@@ -461,6 +497,26 @@ class TestQrFixChosenByCaller:
         assert 1e-14 < sigma[-1] / sigma[0] < 1.1e-14
         res = csd(a, n, CsdOptions(polar_method=method))
         assert res.branch == "full_rank"
+        rep = stability_report(a, res)
+        assert rep.residual_2norm <= 50 * n * U
+        assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 50 * n
+
+    @pytest.mark.parametrize("method", ["qdwh", "zolo"])
+    def test_rank_deficient_active_sigma_1e_8_takes_the_qr_fix(self, method):
+        # The top block's r-th singular value reads 1e-8, below the QR
+        # fix's threshold 1e-7 by a factor of 10, so the block takes the QR
+        # fix, and the decomposition meets its bounds.
+        n, r = 8, 6
+        c = np.zeros(n)
+        c[:r] = np.cos(np.linspace(0.25, 1.2, r))
+        c[r - 1] = 1e-8
+        s = np.sqrt(1.0 - c**2)
+        s[r:] = 0.0
+        a = stack_cs(*(gen_haar_stiefel(n, n, seed=k) for k in (81, 82, 83)), c, s)
+        assert 0.9e-8 < singular_values(a[:n])[r - 1] < 1.1e-8
+        res = csd(a, n, CsdOptions(polar_method=method))
+        assert res.rank == r
+        assert res.branch == "rank_deficient_ill_conditioned"
         rep = stability_report(a, res)
         assert rep.residual_2norm <= 50 * n * U
         assert max(rep.orth_u1, rep.orth_u2, rep.orth_v1) <= 50 * n
@@ -1159,22 +1215,17 @@ class TestSvdRoute:
         # M* instead of multiplying by Y; a product with an exact 0/1
         # matrix gives the same entries.
         a = generate(TestCase(1, False, n, seed))
+        solver = csdk_csd.symeig_deflating
         _, eig, gathered = _eigensolved(monkeypatch, a, n)
-        assert _is_permutation(eig.v)
-        monkeypatch.setattr(csdk_csd, "_identity_rows", lambda y: None)
+        assert eig.rows is not None and _is_permutation(eig.v)
+        monkeypatch.setattr(
+            csdk_csd, "symeig_deflating", lambda b: replace(solver(b), rows=None)
+        )
         multiplied = csd(a, n)
         for field in ("u1", "u2", "c", "s", "v1", "theta"):
             np.testing.assert_array_equal(
                 getattr(gathered, field), getattr(multiplied, field)
             )
-
-    def test_identity_rows_refuses_signed_and_phased_permutations(self):
-        # A column gather equals the product with Y only where each column
-        # of Y holds one nonzero, and that is exactly 1.
-        perm = np.eye(3, dtype=complex)[:, [2, 0, 1]]
-        np.testing.assert_array_equal(csdk_csd._identity_rows(perm), [2, 0, 1])
-        for y in (-np.eye(3), np.diag([1, 1j, 1])):
-            assert csdk_csd._identity_rows(y) is None
 
     @pytest.mark.parametrize(
         "a, method",

@@ -61,6 +61,15 @@ class TestQr:
             assert np.all(d.imag == 0.0)
             assert np.all(d.real >= 0.0)
 
+    def test_diag_stored_as_exact_moduli(self):
+        # Rotating the phases of R's rows leaves its diagonal within
+        # rounding of the moduli of LAPACK's; it is stored as exactly
+        # those moduli, real and unrounded.
+        for seed in range(5):
+            a = crandn(6, 4, np.random.default_rng(seed))
+            d = np.diagonal(qr_factor(a).r)
+            np.testing.assert_array_equal(d, np.abs(np.diagonal(np.linalg.qr(a)[1])))
+
     def test_roundtrip_and_orthogonality(self):
         a = crandn(8, 5)
         f = qr_factor(a)

@@ -281,6 +281,33 @@ class TestSymeigRotated:
         assert norm_2(b @ res.v - res.v * res.lam) <= bound * norm_fro(b)
         assert norm_2(res.v.conj().T @ res.v - np.eye(n)) <= bound
 
+    @pytest.mark.parametrize(
+        "level, equal, method",
+        [
+            (1e-18, (), "deflating"),
+            (1e-18, ((10, 11, 1e-3),), "deflating"),
+            (1e-10, (), "rotated"),
+            (1e-3, (), "direct"),
+        ],
+        ids=["dropped-all-1x1", "dropped-2x2", "rotated", "one-cluster"],
+    )
+    def test_rows_reported_exactly_where_v_is_a_permutation(self, level, equal, method):
+        # rows is set only where every cluster is 1x1 and the couplings
+        # are dropped; column j of V is then column rows[j] of I, the
+        # index of the j-th smallest diagonal entry of this shuffled B.
+        n = 40
+        shuffle = np.random.default_rng(6).permutation(n)
+        b = ascending_with_noise(n, level, seed=6, equal=equal)
+        b = b[np.ix_(shuffle, shuffle)]
+        res = symeig_deflating(b)
+        assert res.method == method
+        if method == "deflating" and not equal:
+            np.testing.assert_array_equal(res.rows, np.argsort(b.diagonal().real))
+            np.testing.assert_array_equal(res.v, np.eye(n)[:, res.rows])
+        else:
+            assert res.rows is None
+        assert symeig_direct(b).rows is None and symeig_sdc(b).rows is None
+
     def test_coupling_above_gap_tol_joins_its_cluster(self, monkeypatch):
         # A coupling of 1e-4 of its diagonal gap joins its two indices in
         # one cluster, which eigh solves; rotated away instead, it would

@@ -51,7 +51,7 @@ MUTANTS = (
         "src/csdk/csd.py",
         "return np.clip(np.real(np.sum(np.conj(v1) * (h @ v1), axis=0)), 0.0, 1.0)",
         "return np.real(np.sum(np.conj(v1) * (h @ v1), axis=0))",
-        "tests/test_csd.py::TestExtractCs::test_clamped_into_unit_interval",
+        "tests/test_csd.py::TestProjectedDiagonal::test_clamped_into_unit_interval",
     ),
     Mutant(
         "finish-unsorted",
@@ -130,14 +130,6 @@ MUTANTS = (
         "test_rotation_above_rotation_max_is_refused",
     ),
     Mutant(
-        "identity-rows-any-nonzero",
-        "src/csdk/csd.py",
-        "if np.all(y[rows, np.arange(y.shape[1])] == 1.0):",
-        "if True:",
-        "tests/test_csd.py::TestSvdRoute::"
-        "test_identity_rows_refuses_signed_and_phased_permutations",
-    ),
-    Mutant(
         "gram-lower-1",
         "src/csdk/csd.py",
         "_GRAM_LOWER = 0.01\n",
@@ -175,6 +167,29 @@ MUTANTS = (
         "get_threads() >= 1",
         "tests/test_csd.py::TestConcurrentBlockPolars::"
         "test_overlap_pays_with_one_blas_thread_and_two_cores",
+    ),
+    Mutant(
+        "r-agreement-factor-1e6",
+        "src/csdk/csd.py",
+        "_R_AGREEMENT_FACTOR = 1e3\n",
+        "_R_AGREEMENT_FACTOR = 1e6\n",
+        "tests/test_csd.py::TestPolarViaQrFix::"
+        "test_rejected_agreement_falls_back_loudly",
+    ),
+    Mutant(
+        "fix-threshold-1e-9",
+        "src/csdk/csd.py",
+        "_RANK_DEFICIENT_FIX_THRESHOLD = 1e-7\n",
+        "_RANK_DEFICIENT_FIX_THRESHOLD = 1e-9\n",
+        "tests/test_csd.py::TestQrFixChosenByCaller::"
+        "test_rank_deficient_active_sigma_1e_8_takes_the_qr_fix",
+    ),
+    Mutant(
+        "qr-diagonal-not-stored",
+        "src/csdk/kernel.py",
+        "    r[idx, idx] = mag\n",
+        "",
+        "tests/test_kernel.py::TestQr::test_diag_stored_as_exact_moduli",
     ),
 )
 
