@@ -74,7 +74,7 @@ import logging
 import operator
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ from .errors import (
     PreconditionError,
 )
 from .kernel import (
-    U_ROUNDOFF,
     SvdFactors,
     hermitian_part,
     norm_fro,
@@ -94,7 +93,14 @@ from .kernel import (
     svd_factor,
 )
 from .isometry import dist_from_singular_values
-from .polar import EPSILON, PolarFactors, polar_iterative, polar_modified, polar_svd
+from .polar import (
+    EPSILON,
+    PolarFactors,
+    polar_iterative,
+    polar_modified,
+    polar_svd,
+    polar_via_qr_fix,
+)
 from .symeig import symeig_deflating
 
 # perfbench/layers.py wraps these names in this module, but csd calls none
@@ -110,12 +116,11 @@ _DISTANCE_GATE = 0.1
 
 # The gate reads the Gershgorin discs of G, A*A in the route's basis,
 # whose eigenvalues are A's squared singular values.  When every disc ends
-# below 0.01 = 0.1^2 or lies in [0.81, 1.21], the squares of [0.9, 1.1], A
-# is inside the gate and its rank is the number of discs in that interval.
-_GRAM_LOWER = 0.01
-_GRAM_UPPER = (0.81, 1.21)
-
-_R_AGREEMENT_FACTOR = 1e3
+# below the square of the gate or lies within the squares of [1 - gate,
+# 1 + gate], A is inside the gate and its rank is the number of discs in
+# that interval.
+_GRAM_LOWER = _DISTANCE_GATE**2
+_GRAM_UPPER = ((1.0 - _DISTANCE_GATE) ** 2, (1.0 + _DISTANCE_GATE) ** 2)
 
 # In the rank-deficient branch, a block whose smallest *active* singular
 # value sits below this gets the QR fix: without it, backward errors rotate
@@ -254,38 +259,6 @@ def postprocess_trig(
     """
     theta = np.arctan2(np.asarray(s, dtype=float), np.asarray(c, dtype=float))
     return np.cos(theta), np.sin(theta), theta
-
-
-def polar_via_qr_fix(
-    ai: np.ndarray, *, smax: float, method: str = "qdwh"
-) -> tuple[PolarFactors, float]:
-    """Orthonormal polar factor for an ill-conditioned block.
-
-    Runs the fixed-interval variant (whose W is not orthonormal), then
-    replaces W by Q Q_H* from the QR factorizations A_i = Q R and
-    H = Q_H R_H.  Under the nonnegative-diagonal convention those two
-    R-factors agree up to O(u) exactly when the swap is legitimate; their
-    relative difference is returned as r_agreement, and if it exceeds
-    1e3*n*u ConvergenceError is raised with it.  Which blocks come here,
-    and where a failed one goes, is decided by the caller alone
-    (`_polar_for_block`).  smax is A_i's largest singular value, which
-    must be positive, and method the sign iteration of the fixed-interval
-    variant.
-    """
-    ai = np.asarray(ai, dtype=np.complex128)
-    modified = polar_modified(ai, smax=smax, method=method)
-    qa = qr_factor(ai)
-    qh = qr_factor(modified.h)
-    denom = max(norm_fro(qa.r), np.finfo(float).tiny)
-    r_agreement = norm_fro(qh.r - qa.r) / denom
-    n = ai.shape[1]
-    if r_agreement > _R_AGREEMENT_FACTOR * n * U_ROUNDOFF:
-        raise ConvergenceError(
-            f"QR fix R-factor agreement {r_agreement:.3e} exceeds "
-            f"{_R_AGREEMENT_FACTOR:.0e}*n*u"
-        )
-    w = qa.q @ qh.q.conj().T
-    return replace(modified, w=w), r_agreement
 
 
 # The routines the blocks call, the svd route's block SVD among them, as
@@ -486,7 +459,7 @@ def _csd_polar(a: np.ndarray, m1: int, opts: CsdOptions, handoff) -> CsdResult:
     finally:
         pf1, fix1 = pending.result()
     mu = 0.0 if rank == a.shape[1] else 2.0
-    v1 = symeig_deflating(build_B(hermitian_part(pf2.h - pf1.h), g, mu)).v[:, :rank]
+    v1 = symeig_deflating(build_B(pf2.h - pf1.h, g, mu)).v[:, :rank]
     top_half = handoff(_finish_half, pf1, v1)
     try:
         u2, s = _finish_half(pf2, v1)

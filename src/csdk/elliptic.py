@@ -91,6 +91,9 @@ def jacobi_sn_imag(y: float, kc: float, kp: float) -> float:
     """
     if not 0.0 <= y < kp:
         raise ValueError(f"argument must lie in [0, K'), got {y} with K'={kp}")
+    if kc == 1.0:
+        # sn(i*y | 1) = i*tan(y), where the Landen recursion cannot run.
+        return math.tan(y)
     m = kc * kc
     fold = y > 0.5 * kp
     yy = kp - y if fold else y

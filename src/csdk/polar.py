@@ -14,7 +14,10 @@ apply.  `polar_modified` runs the same method's schedule on the fixed
 interval [EPSILON, 1] instead of [sigma_min, 1]; its W factor is
 deliberately not orthonormal when A has singular values below EPSILON
 (they are mapped into [0, 1] rather than to 1), which is exactly what the
-rank-deficient decomposition downstream needs.  `canonical_polar` is the
+rank-deficient decomposition downstream needs; `polar_via_qr_fix`
+restores it from the QR factors of A and H.  Both iterative routines run
+one body, `_sign_polar`, and differ only in the interval edge and in
+`polar_iterative`'s final orthonormality check.  `canonical_polar` is the
 truncated-SVD construction whose W factor is a partial isometry.
 """
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,13 +36,14 @@ from .kernel import (
     SvdFactors,
     hermitian_part,
     norm_fro,
+    qr_factor,
     svd_factor,
 )
 from .zolotarev import MAX_ORDER, SignIterationFactors, sign_iteration_factors
 
-# perfbench/layers.py wraps these names in this module, but the polar
-# routines call neither; they go with ROADMAP item 1.
-cholesky_factor = qr_factor = None
+# perfbench/layers.py wraps this name in this module, but the polar
+# routines do not call it; it goes with ROADMAP item 1.
+cholesky_factor = None
 
 # Below this interval edge the Gram matrix X*X + pole*I is too ill
 # conditioned to solve with directly; use the stacked-QR form of the update.
@@ -58,9 +62,11 @@ _FLAT_TOL = 5.0 * U_ROUNDOFF
 EPSILON = 1e-15
 
 # No schedule is built from a lower interval edge: six Halley rounds fall
-# short below about 3e-42, the order-8 coefficients lose their distinct
-# poles below about 7e-50, and the Halley weights overflow below 1.2e-77.
+# short below about 3e-42, and the order-8 coefficients lose their
+# distinct poles below about 7e-50.
 _MIN_ELL = 1e-45
+
+_R_AGREEMENT_FACTOR = 1e3
 
 Schedule = tuple[SignIterationFactors, ...]
 
@@ -164,7 +170,7 @@ def _schedule(ell: float, method: str) -> Schedule:
     return qdwh_schedule(ell) if method == "qdwh" else zolo_schedule(ell)
 
 
-def _apply_schedule(x: np.ndarray, schedule: Schedule, *, hermitian: bool) -> np.ndarray:
+def _apply_schedule(x: np.ndarray, schedule: Schedule) -> np.ndarray:
     """Matrix rounds x -> (x + sum_j a_j x (x*x + q_j I)^-1) / normalizer,
     one per factor of the schedule."""
     m, n = x.shape
@@ -188,18 +194,21 @@ def _apply_schedule(x: np.ndarray, schedule: Schedule, *, hermitian: bool) -> np
                 raise ConvergenceError(f"sign iteration round failed: {exc}") from exc
             acc += a_j * term
         x = acc / fac.normalizer
-        if hermitian:
-            x = hermitian_part(x)
     return x
 
 
+def _sign_polar(a: np.ndarray, smax: float, ell: float, method: str) -> PolarFactors:
+    """W from the method's schedule for interval edge ell, applied to
+    A / smax, and H = W*A made Hermitian: the body of both iterative
+    routes."""
+    schedule = _schedule(ell, method)
+    w = _apply_schedule(a / smax, schedule)
+    h = hermitian_part(w.conj().T @ a)
+    return PolarFactors(w, h, method, len(schedule))
+
+
 def polar_iterative(
-    a: np.ndarray,
-    smax: float,
-    smin: float,
-    *,
-    method: str = "qdwh",
-    hermitian: bool = False,
+    a: np.ndarray, smax: float, smin: float, *, method: str = "qdwh"
 ) -> PolarFactors:
     """Polar decomposition by the rational sign iteration.
 
@@ -218,15 +227,14 @@ def polar_iterative(
     n = a.shape[1]
     if smax == 0.0:
         raise ConvergenceError("zero matrix has no unitary polar factor")
-    schedule = _schedule(min(0.9 * (smin / smax), 1.0), method)
-    w = _apply_schedule(a / smax, schedule, hermitian=hermitian)
-    if norm_fro(w.conj().T @ w - np.eye(n)) > 10.0 * DEFAULT_TOL_FACTOR * n * U_ROUNDOFF:
+    pf = _sign_polar(a, smax, min(0.9 * (smin / smax), 1.0), method)
+    defect = norm_fro(pf.w.conj().T @ pf.w - np.eye(n))
+    if defect > 10.0 * DEFAULT_TOL_FACTOR * n * U_ROUNDOFF:
         raise ConvergenceError(
             "iterated factor is not orthonormal to working precision; "
             "input is likely ill conditioned beyond the interval estimate"
         )
-    h = hermitian_part(w.conj().T @ a)
-    return PolarFactors(w, h, method, len(schedule))
+    return pf
 
 
 def polar_modified(a: np.ndarray, *, smax: float, method: str = "qdwh") -> PolarFactors:
@@ -241,11 +249,39 @@ def polar_modified(a: np.ndarray, *, smax: float, method: str = "qdwh") -> Polar
     orthonormal when A is nearly rank deficient, while the symmetrized W*A
     still matches the true Hermitian factor to O(u).
     """
-    a = _require_tall(a)
-    schedule = _schedule(EPSILON, method)
-    w = _apply_schedule(a / smax, schedule, hermitian=False)
-    h = hermitian_part(w.conj().T @ a)
-    return PolarFactors(w, h, method, len(schedule))
+    return _sign_polar(_require_tall(a), smax, EPSILON, method)
+
+
+def polar_via_qr_fix(
+    ai: np.ndarray, *, smax: float, method: str = "qdwh"
+) -> tuple[PolarFactors, float]:
+    """Orthonormal polar factor for an ill-conditioned block.
+
+    Runs the fixed-interval variant (whose W is not orthonormal), then
+    replaces W by Q Q_H* from the QR factorizations A_i = Q R and
+    H = Q_H R_H.  Under the nonnegative-diagonal convention those two
+    R-factors agree up to O(u) exactly when the swap is legitimate; their
+    relative difference is returned as r_agreement, and if it exceeds
+    1e3*n*u ConvergenceError is raised with it.  Which blocks come here,
+    and where a failed one goes, is decided by the caller alone
+    (`csdk.csd._polar_for_block`).  smax is A_i's largest singular value,
+    which must be positive, and method the sign iteration of the
+    fixed-interval variant.
+    """
+    ai = np.asarray(ai, dtype=np.complex128)
+    modified = polar_modified(ai, smax=smax, method=method)
+    qa = qr_factor(ai)
+    qh = qr_factor(modified.h)
+    denom = max(norm_fro(qa.r), np.finfo(float).tiny)
+    r_agreement = norm_fro(qh.r - qa.r) / denom
+    n = ai.shape[1]
+    if r_agreement > _R_AGREEMENT_FACTOR * n * U_ROUNDOFF:
+        raise ConvergenceError(
+            f"QR fix R-factor agreement {r_agreement:.3e} exceeds "
+            f"{_R_AGREEMENT_FACTOR:.0e}*n*u"
+        )
+    w = qa.q @ qh.q.conj().T
+    return replace(modified, w=w), r_agreement
 
 
 def canonical_polar(a: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:

@@ -23,18 +23,9 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .kernel import U_ROUNDOFF, hermitian_part, norm_fro
-from .polar import polar_iterative
+from .polar import EPSILON, polar_iterative
 
 _DIRECT_BLOCK = 4
-
-# Lower bound on sigma_min / sigma_max handed to the polar iteration of a
-# split, which knows no singular values of B - s*I.  The qdwh schedule
-# built from it, fixed before any matrix round, takes ell from 0.9e-15
-# (and from as low as 1e-17) to 1 in 6 Halley rounds, the iteration's cap,
-# so no estimate is needed.  A shift closer than this to an eigenvalue
-# leaves that singular value short of 1 after the schedule, and surfaces
-# as ConvergenceError from the final orthonormality check.
-_ELL_FLOOR = 1e-15
 
 # Indices i < j of B sorted by its diagonal d share one cluster of
 # `symeig_deflating` when |b_ij| >= this times |d_i - d_j|; a smaller
@@ -114,15 +105,7 @@ def symeig_deflating(b: np.ndarray) -> SymEigResult:
     cluster, and every refused B, goes unsorted to one `symeig_direct`.
     """
     n = b.shape[0]
-    diagonal = b.diagonal().real
-    # The stable sort puts the first smallest diagonal entry first and the
-    # last largest last; if those two are coupled, every index lies between
-    # them, and B is one cluster with no sort.
-    lo = int(np.argmin(diagonal))
-    hi = n - 1 - int(np.argmax(diagonal[::-1]))
-    if abs(b[lo, hi]) >= _GAP_TOL * (diagonal[hi] - diagonal[lo]):
-        return symeig_direct(b)
-    order = np.argsort(diagonal, kind="stable")
+    order = np.argsort(b.diagonal().real, kind="stable")
     sorted_b = b[np.ix_(order, order)]
     d = sorted_b.diagonal().real
     mag = np.abs(sorted_b)
@@ -209,9 +192,14 @@ def spectral_split(
     # B - s*I is Hermitian, so its 1-norm equals its infinity-norm and
     # either bound caps its largest singular value.
     smax = min(norm_fro(shifted), float(np.linalg.norm(shifted, 1)))
-    pf = polar_iterative(
-        shifted, smax, _ELL_FLOOR * smax, method="qdwh", hermitian=True
-    )
+    # The iteration knows no singular values of B - s*I, so it starts from
+    # the lower bound EPSILON on sigma_min / sigma_max, the edge of the
+    # fixed interval: its qdwh schedule, fixed before any matrix round,
+    # takes ell from 0.9e-15 to 1 in 6 Halley rounds, the iteration's cap,
+    # so no estimate is needed.  A shift closer than this to an eigenvalue
+    # leaves that singular value short of 1 after the schedule, and
+    # surfaces as ConvergenceError from the final orthonormality check.
+    pf = polar_iterative(shifted, smax, EPSILON * smax, method="qdwh")
     proj = hermitian_part(0.5 * (pf.w + np.eye(n)))
     tr = float(np.trace(proj).real)
     nplus = int(round(tr))

@@ -10,8 +10,8 @@ f(1) = 1, it maps [l, 1] onto [l', 1] with 1 - l' tiny, and [0, l] into
 [0, l'] monotonically.  Composing a second member built for [l', 1] squares
 the effective degree; two rounds with p = 8 flatten intervals as wide as
 [1e-15, 1] to within roundoff of 1.  The p = 1 member is the dynamically
-weighted Halley map, for which closed-form weights are used instead of
-elliptic coefficients.
+weighted Halley map, and it comes from the same elliptic formula as every
+other order.
 
 Matrix iterations apply f through its partial-fraction form (one QR or
 linear solve per term); `eval_sign_approx` is the exact scalar shadow of a
@@ -20,7 +20,6 @@ schedule of such rounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +44,6 @@ class SignIterationFactors:
     normalizer: float
     ell: float
     ell_next: float
-
-
-def halley_weights(ell: float) -> tuple[float, float, float]:
-    """Dynamically weighted Halley coefficients (a, b, c) for x(a+bx^2)/(1+cx^2)."""
-    l2 = ell * ell
-    d = (4.0 * (1.0 - l2) / (l2 * l2)) ** (1.0 / 3.0)
-    sq = math.sqrt(1.0 + d)
-    a = sq + 0.5 * math.sqrt(8.0 - 4.0 * d + 8.0 * (2.0 - l2) / (l2 * sq))
-    b = (a - 1.0) ** 2 / 4.0
-    c = a + b - 1.0
-    return a, b, c
 
 
 def zolotarev_coefficients(ell: float, p: int) -> np.ndarray:
@@ -101,14 +89,9 @@ def _product_map(x, poles: np.ndarray, zeros: np.ndarray, normalizer: float):
 
 def sign_iteration_factors(ell: float, p: int) -> SignIterationFactors:
     """Build one round of the order-p map for current interval edge ell."""
-    if p == 1:
-        a, b, c = halley_weights(ell)
-        poles = np.array([1.0 / c])
-        zeros = np.array([a / b])
-    else:
-        coeff = zolotarev_coefficients(ell, p)
-        poles = coeff[0::2].copy()
-        zeros = coeff[1::2].copy()
+    coeff = zolotarev_coefficients(ell, p)
+    poles = coeff[0::2].copy()
+    zeros = coeff[1::2].copy()
     normalizer = float(np.prod((1.0 + zeros) / (1.0 + poles)))
     residues = _residues(poles, zeros)
     ell_next = float(_product_map(ell, poles, zeros, normalizer))

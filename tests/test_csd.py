@@ -28,7 +28,6 @@ from csdk.csd import (
     build_B,
     csd,
     csd_2x2,
-    polar_via_qr_fix,
     postprocess_trig,
 )
 from csdk.errors import (
@@ -45,7 +44,7 @@ from csdk.isometry import (
     stack_cs,
 )
 from csdk.kernel import U_ROUNDOFF, hermitian_part, norm_2, norm_fro, singular_values
-from csdk.polar import polar_modified, polar_svd
+from csdk.polar import polar_modified, polar_svd, polar_via_qr_fix
 from csdk.symeig import symeig_deflating
 from csdk.testgen import (
     TestCase,
@@ -442,15 +441,15 @@ class TestPolarViaQrFix:
 
 
 def _miss_h(monkeypatch, factor: float) -> None:
-    """Make csd's fixed-interval polar return H (1 + factor n u), so that
-    the QR fix's R-factors differ by factor n u."""
-    modified = csdk_csd.polar_modified
+    """Make the QR fix's fixed-interval polar return H (1 + factor n u), so
+    that its R-factors differ by factor n u."""
+    modified = csdk.polar.polar_modified
 
     def missing(a, **kwargs):
         pf = modified(a, **kwargs)
         return replace(pf, h=pf.h * (1.0 + factor * a.shape[1] * U))
 
-    monkeypatch.setattr(csdk_csd, "polar_modified", missing)
+    monkeypatch.setattr(csdk.polar, "polar_modified", missing)
 
 
 def _qr_fix_repros():
@@ -954,15 +953,17 @@ class TestFactorizations:
         # The block's singular values give the sign iteration its scale and
         # interval, so no QR sigma_min estimate runs, and each Gram-form
         # round solves its shifted Gram matrices with numpy's LU.  These
-        # inputs take no QR fix, so csd's QR routine never runs, nor does a
-        # Cholesky factorization anywhere.
+        # inputs take no QR fix, so the QR fix's QR routine never runs, nor
+        # does a Cholesky factorization anywhere.
         n = 12
         if deficient:
             a = gen_rank_deficient_haar(n, seed=2)
         else:
             a = generate(TestCase(1, False, n, 1))
         counts = _count_calls(
-            monkeypatch, ("csdk.csd", "numpy.linalg"), ("qr_factor", "cholesky")
+            monkeypatch,
+            ("csdk.csd", "csdk.polar", "numpy.linalg"),
+            ("qr_factor", "cholesky"),
         )
         res = csd(a, n, CsdOptions(polar_method=method))
         assert res.branch in ("full_rank", "rank_deficient")

@@ -39,7 +39,7 @@ def test_jacobi_real_axis_vs_scipy(m, u):
     assert abs(sn.imag) < 1e-15
 
 
-@pytest.mark.parametrize("ell", [1e-15, 1e-8, 1e-3, 0.3])
+@pytest.mark.parametrize("ell", [1e-15, 1e-8, 1e-3, 0.3, 1.0])
 @pytest.mark.parametrize("frac", [0.05, 0.3, 0.49, 0.51, 0.8, 0.95])
 def test_imaginary_axis_vs_mpmath(ell, frac):
     kp = complete_k_from_complement(ell)

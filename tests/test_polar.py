@@ -196,8 +196,8 @@ class TestPolarIterative:
     @pytest.mark.parametrize("method", ["qdwh", "zolo"])
     @pytest.mark.parametrize("smin", [1e-60, 1e-80, 1e-300])
     def test_tiny_interval_edge_signals_before_any_round(self, monkeypatch, method, smin):
-        # No schedule is built from an edge this small: the Halley weights
-        # overflow below about 1.2e-77 and the order-8 residues turn NaN
+        # No schedule is built from an edge this small: six Halley rounds
+        # fall short below about 3e-42 and the order-8 residues turn NaN
         # below about 7e-50.  Both routes refuse it with the typed error,
         # before any matrix work.
         monkeypatch.setattr(csdk.polar, "_apply_schedule", None)

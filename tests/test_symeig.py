@@ -215,15 +215,9 @@ class TestSymeigRotated:
         ids=["dense", "equal-diagonal"],
     )
     def test_one_cluster_goes_to_one_eigh_unsorted(self, monkeypatch, b):
-        # The first smallest and the last largest diagonal entries are
-        # coupled, or equal, so B is one cluster: it goes to one
-        # symeig_direct, with its bits, before any sort or clustering.
+        # Every pair is coupled, or the diagonal is equal, so B is one
+        # cluster: it goes unsorted to one symeig_direct, with its bits.
         direct = symeig_direct(b)
-
-        def refusing(coupled):
-            raise AssertionError("a one-cluster B was clustered")
-
-        monkeypatch.setattr(symeig_module, "_joined_stops", refusing)
         sizes = eigh_sizes(monkeypatch)
         res = symeig_deflating(b)
         assert res.method == "direct" and sizes == [b.shape[0]]

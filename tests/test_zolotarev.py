@@ -1,14 +1,15 @@
 """Scalar sign-map contracts: the dense-grid bound, symmetry, image range,
 and the schedules the polar iteration runs."""
 
+import math
+
 import numpy as np
 import pytest
 
 from csdk.kernel import U_ROUNDOFF
-from csdk.polar import sign_schedule, zolo_schedule
+from csdk.polar import qdwh_schedule, sign_schedule, zolo_schedule
 from csdk.zolotarev import (
     eval_sign_approx,
-    halley_weights,
     sign_iteration_factors,
     zolotarev_coefficients,
 )
@@ -94,13 +95,26 @@ def test_equioscillation_structure():
     assert e[-1] <= 5 * U_ROUNDOFF
 
 
-def test_halley_weights_match_elliptic_p1():
-    # The closed-form Halley weights are the p = 1 member of the family.
-    for ell in (0.2, 0.5, 0.9):
-        a, b, c = halley_weights(ell)
-        coeff = zolotarev_coefficients(ell, 1)
-        assert coeff[0] == pytest.approx(1.0 / c, rel=1e-8)
-        assert coeff[1] == pytest.approx(a / b, rel=1e-8)
+def dwh_weights(ell):
+    """The dynamically weighted Halley map x (a + b x^2) / (1 + c x^2) for
+    interval edge ell, in closed form (Nakatsukasa, Bai and Gygi 2010)."""
+    l2 = ell * ell
+    d = (4.0 * (1.0 - l2) / (l2 * l2)) ** (1.0 / 3.0)
+    sq = math.sqrt(1.0 + d)
+    a = sq + 0.5 * math.sqrt(8.0 - 4.0 * d + 8.0 * (2.0 - l2) / (l2 * sq))
+    b = (a - 1.0) ** 2 / 4.0
+    return a, b, a + b - 1.0
+
+
+@pytest.mark.parametrize("ell", [1e-15, 1e-8, 1e-3, 0.2, 0.5, 0.9, 1.0])
+def test_order_one_coefficients_are_the_halley_weights(ell):
+    # The p = 1 member of the family is the dynamically weighted Halley
+    # map: its pole is 1/c and its zero a/b, from EPSILON = 1e-15, the
+    # fixed interval's edge, up to the degenerate interval [1, 1].
+    a, b, c = dwh_weights(ell)
+    pole, zero = zolotarev_coefficients(ell, 1)
+    assert pole == pytest.approx(1.0 / c, rel=1e-13)
+    assert zero == pytest.approx(a / b, rel=1e-13)
 
 
 def test_iteration_factors_track_interval():
@@ -117,11 +131,15 @@ def test_zolo_schedule_order_monotone_and_bounded():
     assert orders == sorted(orders)
     assert orders[0] >= 1 and orders[-1] <= 8
     # The chosen order really does flatten the interval in two rounds.
-    for ell in (1e-4, 1e-8, 1e-15):
-        schedule = zolo_schedule(ell)
-        assert len(schedule) == 2
-        err = abs(1.0 - eval_sign_approx(ell, schedule))
-        assert err <= 10 * U_ROUNDOFF
+    for ell in (0.1, 1e-4, 1e-8, 1e-15):
+        assert len(zolo_schedule(ell)) == 2
+    # Either schedule stops only once its edge lies within a few ulp of 1.
+    # A looser stop ends short: qdwh from 1e-15 after five rounds and zolo
+    # from 0.1 at order 2, both some 200 u below 1.
+    for build in (qdwh_schedule, zolo_schedule):
+        for ell in (0.1, 1e-4, 1e-8, 1e-15):
+            err = abs(1.0 - eval_sign_approx(ell, build(ell)))
+            assert err <= 10 * U_ROUNDOFF, (build.__name__, ell)
 
 
 def test_schedule_validation():

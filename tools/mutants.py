@@ -65,7 +65,7 @@ MUTANTS = (
         "src/csdk/polar.py",
         "_FLAT_TOL = 5.0 * U_ROUNDOFF",
         "_FLAT_TOL = 500.0 * U_ROUNDOFF",
-        "tests/test_acceptance.py::test_criterion",
+        "tests/test_zolotarev.py::test_zolo_schedule_order_monotone_and_bounded",
     ),
     Mutant(
         "min-ell-1e-30",
@@ -132,25 +132,19 @@ MUTANTS = (
     Mutant(
         "gram-lower-1",
         "src/csdk/csd.py",
-        "_GRAM_LOWER = 0.01\n",
-        "_GRAM_LOWER = 1\n",
+        "_GRAM_LOWER = _DISTANCE_GATE**2\n",
+        "_GRAM_LOWER = _DISTANCE_GATE**0\n",
         "tests/test_csd.py::TestSvdRoute::"
         "test_gate_refuses_tight_discs_outside_the_intervals",
     ),
     Mutant(
         "gram-upper-wide",
         "src/csdk/csd.py",
-        "_GRAM_UPPER = (0.81, 1.21)\n",
-        "_GRAM_UPPER = (0.0081, 121)\n",
+        "_GRAM_UPPER = ((1.0 - _DISTANCE_GATE) ** 2, (1.0 + _DISTANCE_GATE) ** 2)\n",
+        "_GRAM_UPPER = ((1.0 - _DISTANCE_GATE) ** 2 / 100, "
+        "(1.0 + _DISTANCE_GATE) ** 2 * 100)\n",
         "tests/test_csd.py::TestSvdRoute::"
         "test_gate_refuses_tight_discs_outside_the_intervals",
-    ),
-    Mutant(
-        "one-cluster-test-inverted",
-        "src/csdk/symeig.py",
-        "if abs(b[lo, hi]) >= _GAP_TOL * (diagonal[hi] - diagonal[lo]):",
-        "if abs(b[lo, hi]) < _GAP_TOL * (diagonal[hi] - diagonal[lo]):",
-        "tests/test_csd.py::TestSvdRoute::test_clean_haar_deflates_fully_with_no_eigh",
     ),
     Mutant(
         "svd-worker-from-140",
@@ -170,7 +164,7 @@ MUTANTS = (
     ),
     Mutant(
         "r-agreement-factor-1e6",
-        "src/csdk/csd.py",
+        "src/csdk/polar.py",
         "_R_AGREEMENT_FACTOR = 1e3\n",
         "_R_AGREEMENT_FACTOR = 1e6\n",
         "tests/test_csd.py::TestPolarViaQrFix::"
